@@ -46,7 +46,7 @@ fn send_probe(
     let plan = src.2.plan_transmit(grant.wire_start, 64);
     let hdr = src.0.tx_header_addr(0);
     let mut trigger_real = now;
-    for acc in &plan.header_reads {
+    for acc in plan.header_reads {
         let tick = src.1.ticks_at(acc.at);
         src.0.utcsu_mut().advance_to_tick(tick);
         let _ = src.0.read32(hdr + acc.offset);
@@ -65,7 +65,7 @@ fn send_probe(
     let rx_plan = dst.2.plan_receive(arrival, 64);
     let rx_hdr = dst.0.rx_header_addr(0);
     let mut arrival_trigger_real = arrival;
-    for acc in &rx_plan.header_writes {
+    for acc in rx_plan.header_writes {
         let tick = dst.1.ticks_at(acc.at);
         dst.0.utcsu_mut().advance_to_tick(tick);
         dst.0.write32(rx_hdr + acc.offset, 0);

@@ -12,7 +12,9 @@
 //! NTI's µs decade on a LAN.
 
 use nti_bench::obs_cli::ObsOpts;
-use nti_bench::{eng, header, parallel_sweep, record_precision, secs, with_duration};
+use nti_bench::{
+    eng, exit_on_record_error, header, parallel_sweep, record_precision, secs, with_duration,
+};
 use nti_core::cluster::{BgLoad, Cluster, ClusterConfig, Report};
 use nti_core::ntp_sync::NtpClient;
 use nti_core::CongestionPolicy;
@@ -180,7 +182,7 @@ fn precision_vs_load(obs: &SimObserver) {
         .collect();
     let results = parallel_sweep(cells, |(fps, ecn)| load_cell(fps, ecn, obs));
     for (label, rep) in &results {
-        record_precision("e12_ntp_wan", label, rep, obs);
+        exit_on_record_error(record_precision("e12_ntp_wan", label, rep, obs));
         println!(
             "{:<28} {:>12} {:>12} {:>12} {:>9}/{}",
             label,

@@ -71,7 +71,7 @@ fn run(use_latch: bool, corrupt_first_every: u64) -> Outcome {
             let s = slot % nti.rx_header_count();
             slot = slot.wrapping_add(1);
             hdr_addr[i] = nti.rx_header_addr(s);
-            for acc in &plan.header_writes {
+            for acc in plan.header_writes {
                 let tick = osc.ticks_at(acc.at);
                 nti.utcsu_mut().advance_to_tick(tick);
                 nti.write32(hdr_addr[i] + acc.offset, 0);

@@ -31,7 +31,7 @@
 //! machine- and size-dependent at smoke N, so the ≥2× speedup claim is
 //! asserted against the full-mode numbers recorded in `BENCH_engine.json`.
 
-use nti_bench::{append_bench, fast_mode, header};
+use nti_bench::{append_bench, exit_on_record_error, fast_mode, header};
 use nti_core::cluster::{Cluster, ClusterConfig};
 use nti_obs::{keys, Json, SimObserver};
 use nti_simcore::{Engine, QueueKind, SimDuration};
@@ -290,7 +290,7 @@ fn main() {
     }
     eps_by_workload.push(("cluster_replay", [replay[0].0, replay[1].0, replay[2].0]));
 
-    append_bench(
+    exit_on_record_error(append_bench(
         "BENCH_engine.json",
         &Json::obj([
             ("experiment", Json::str("e17_engine_perf")),
@@ -301,7 +301,7 @@ fn main() {
             ("rows", Json::Arr(rows)),
             ("equivalence_ok", Json::Bool(equiv)),
         ]),
-    );
+    ));
 
     if smoke {
         // CI gate. Three legs:

@@ -19,7 +19,8 @@
 
 use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{
-    append_bench, eng, fast_mode, header, parallel_sweep, record, secs, with_duration,
+    append_bench, eng, exit_on_record_error, fast_mode, header, parallel_sweep, record, secs,
+    with_duration,
 };
 use nti_core::cluster::{BgLoad, Cluster, ClusterConfig, Report};
 use nti_core::CongestionPolicy;
@@ -169,7 +170,7 @@ fn cell_json(rep: &Report) -> Json {
 }
 
 fn bench_line(label: &str, rep: &Report) {
-    append_bench(
+    exit_on_record_error(append_bench(
         "BENCH_churn.json",
         &Json::obj([
             ("experiment", Json::str("e18_churn")),
@@ -177,7 +178,7 @@ fn bench_line(label: &str, rep: &Report) {
             ("fast_mode", Json::Bool(fast_mode())),
             ("result", cell_json(rep)),
         ]),
-    );
+    ));
 }
 
 /// Count of nodes whose final state is `synchronized` / total nodes.

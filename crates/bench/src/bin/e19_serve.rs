@@ -30,7 +30,8 @@
 
 use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{
-    append_bench, eng, fast_mode, header, prom_present, prom_sum, record, secs, with_duration,
+    append_bench, eng, exit_on_record_error, fast_mode, header, prom_present, prom_sum, record,
+    secs, with_duration,
 };
 use nti_core::cluster::{Cluster, ClusterConfig};
 use nti_core::status::StatusCell;
@@ -372,7 +373,7 @@ fn telemetry_gate() -> ! {
             ("scrape_status_age", Json::Bool(scrape.status_age_seen)),
             ("scrape_json_ok", Json::Bool(scrape.json_ok)),
         ]);
-        append_bench("BENCH_serve.json", &line);
+        exit_on_record_error(append_bench("BENCH_serve.json", &line));
         record("e19_telemetry", "gate", &line);
 
         let mut failures = Vec::new();
@@ -485,7 +486,7 @@ fn main() {
     );
 
     let line = bench_json(&sh, &out);
-    append_bench("BENCH_serve.json", &line);
+    exit_on_record_error(append_bench("BENCH_serve.json", &line));
     record("e19_serve", if smoke { "smoke" } else { "full" }, &line);
     opts.finish(&obs);
 

@@ -8,7 +8,7 @@
 //! the paper calls "definitely inappropriate".
 
 use nti_bench::obs_cli::ObsOpts;
-use nti_bench::{eng, header, record, record_precision, secs, with_duration};
+use nti_bench::{eng, exit_on_record_error, header, record, record_precision, secs, with_duration};
 use nti_core::cluster::{BgLoad, Cluster, ClusterConfig};
 use nti_core::params::TimestampMode;
 use nti_netsim::ComcoTiming;
@@ -103,7 +103,12 @@ fn main() {
             // The headline operating point lands one line in the
             // BENCH_precision.json trajectory (with per-hop p99s when
             // observability was requested).
-            record_precision("e1_epsilon", "NTI triggers/idle", &r, &obs);
+            exit_on_record_error(record_precision(
+                "e1_epsilon",
+                "NTI triggers/idle",
+                &r,
+                &obs,
+            ));
             // Figure: the ε distribution around its minimum (the variable
             // part of the stamp-pair delay).
             let min = metrics.eps_delay.min();

@@ -37,7 +37,8 @@
 
 use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{
-    append_bench, fast_mode, header, prom_present, prom_sum, record, secs, with_duration,
+    append_bench, exit_on_record_error, fast_mode, header, prom_present, prom_sum, record, secs,
+    with_duration,
 };
 use nti_core::cluster::{Cluster, ClusterConfig};
 use nti_core::status::StatusCell;
@@ -599,7 +600,7 @@ fn main() {
         &times,
         scrape.as_ref(),
     );
-    append_bench("BENCH_serve.json", &line);
+    exit_on_record_error(append_bench("BENCH_serve.json", &line));
     record("e20_abuse", if smoke { "smoke" } else { "full" }, &line);
     opts.finish(&obs);
 

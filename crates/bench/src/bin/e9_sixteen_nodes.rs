@@ -9,7 +9,7 @@
 //! landing in the 1 µs range.
 
 use nti_bench::obs_cli::ObsOpts;
-use nti_bench::{eng, header, record, record_precision, secs, with_duration};
+use nti_bench::{eng, exit_on_record_error, header, record, record_precision, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig, DriftSpec, GpsNodeCfg};
 use nti_gps::GpsConfig;
 use nti_simcore::SimDuration;
@@ -52,7 +52,7 @@ fn main() {
         cfg.obs = obs.clone();
         let rep = Cluster::new(cfg).run();
         record("e9_sixteen_nodes", name, &rep.to_json());
-        record_precision("e9_sixteen_nodes", name, &rep, &obs);
+        exit_on_record_error(record_precision("e9_sixteen_nodes", name, &rep, &obs));
         println!(
             "{:<34} {:>13} {:>13} {:>13} {:>9}/{}",
             name,

@@ -23,7 +23,7 @@
 //! violation-free, then injects a saturating 2 ms late-trigger fault and
 //! asserts the trigger-latency monitor fires. Exits non-zero on failure.
 
-use nti_bench::{append_bench, eng, header};
+use nti_bench::{append_bench, eng, exit_on_record_error, header};
 use nti_core::cluster::{Cluster, ClusterConfig, SPAN_HOPS};
 use nti_faults::{FaultEpisode, FaultKind, FaultPlan, FaultTarget};
 use nti_obs::quantile::percentile_sorted;
@@ -246,8 +246,8 @@ fn analysis_json(source: &str, a: &Analysis) -> Json {
 /// report in `BENCH_obs.json`, the per-hop p99 line in
 /// `BENCH_precision.json`.
 fn record_analysis(source: &str, a: &Analysis) {
-    append_bench("BENCH_obs.json", &analysis_json(source, a));
-    append_bench(
+    exit_on_record_error(append_bench("BENCH_obs.json", &analysis_json(source, a)));
+    exit_on_record_error(append_bench(
         "BENCH_precision.json",
         &Json::obj([
             ("tool", Json::str("nti_analyze")),
@@ -263,7 +263,7 @@ fn record_analysis(source: &str, a: &Analysis) {
                 ),
             ),
         ]),
-    );
+    ));
 }
 
 /// Parse one exported JSONL trace file into span records + violation

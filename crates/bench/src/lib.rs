@@ -24,7 +24,8 @@
 use nti_core::cluster::{ClusterConfig, Report, HOP_HIST_NAMES, SPAN_HOPS};
 use nti_obs::{Json, MetricKey, SimObserver};
 use nti_simcore::SimDuration;
-use std::path::PathBuf;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 pub mod obs_cli;
@@ -85,20 +86,32 @@ pub fn experiments_dir() -> PathBuf {
 
 /// Append one record to a `BENCH_*.json` trajectory file in
 /// [`experiments_dir`] (JSON Lines: each run accretes one line, so a file
-/// read top-to-bottom is the metric's history across runs).
-pub fn append_bench(file: &str, value: &Json) {
-    let dir = experiments_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return; // best-effort, like `record`
-    }
-    use std::io::Write;
+/// read top-to-bottom is the metric's history across runs). A trajectory
+/// is evidence, so unlike [`record`] a failed write is an error; the error
+/// names the file.
+pub fn append_bench(file: &str, value: &Json) -> io::Result<()> {
+    append_line(&experiments_dir(), file, value)
+}
+
+fn append_line(dir: &Path, file: &str, value: &Json) -> io::Result<()> {
+    let path = dir.join(file);
+    let named = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+    std::fs::create_dir_all(dir).map_err(named)?;
     let _guard = RECORD_LOCK.lock().expect("record lock poisoned");
-    if let Ok(mut f) = std::fs::OpenOptions::new()
+    let mut f = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(dir.join(file))
-    {
-        let _ = writeln!(f, "{value}");
+        .open(&path)
+        .map_err(named)?;
+    writeln!(f, "{value}").map_err(named)
+}
+
+/// Exit with status 1 if a bench record could not be written: a run whose
+/// trajectory line was lost must not pass for a successful one.
+pub fn exit_on_record_error(result: io::Result<()>) {
+    if let Err(e) = result {
+        eprintln!("error: bench record not written: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -120,7 +133,12 @@ pub fn hop_p99_json(obs: &SimObserver) -> Json {
 /// uncertainty ε, and the per-hop p99 latency decomposition (when the run
 /// was observed). `nti_analyze` appends to the same file, so the
 /// trajectory interleaves live runs with offline trace analyses.
-pub fn record_precision(experiment: &str, label: &str, rep: &Report, obs: &SimObserver) {
+pub fn record_precision(
+    experiment: &str,
+    label: &str,
+    rep: &Report,
+    obs: &SimObserver,
+) -> io::Result<()> {
     append_bench(
         "BENCH_precision.json",
         &Json::obj([
@@ -137,7 +155,7 @@ pub fn record_precision(experiment: &str, label: &str, rep: &Report, obs: &SimOb
             ),
             ("hop_p99_ns", hop_p99_json(obs)),
         ]),
-    );
+    )
 }
 
 /// Append a JSON result record under `target/experiments/<experiment>.jsonl`
@@ -155,7 +173,6 @@ pub fn record(experiment: &str, label: &str, value: &Json) {
         ("fast_mode", Json::Bool(fast_mode())),
         ("result", value.clone()),
     ]);
-    use std::io::Write;
     let _guard = RECORD_LOCK.lock().expect("record lock poisoned");
     if let Ok(mut f) = std::fs::OpenOptions::new()
         .create(true)
@@ -290,6 +307,23 @@ mod tests {
         assert_eq!(prom_sum(body, "nti_serve_querie"), 0.0);
         assert!(prom_present(body, "nti_serve_queries_rate"));
         assert!(!prom_present(body, "nti_serve_missing"));
+    }
+
+    #[test]
+    fn append_line_reports_write_failures() {
+        let base = std::env::temp_dir().join(format!("nti-bench-append-{}", std::process::id()));
+        std::fs::create_dir_all(&base).unwrap();
+        let line = Json::obj([("k", Json::num(1.0))]);
+        append_line(&base, "BENCH_t.json", &line).expect("writable directory");
+        append_line(&base, "BENCH_t.json", &line).expect("append");
+        let text = std::fs::read_to_string(base.join("BENCH_t.json")).unwrap();
+        assert_eq!(text.lines().count(), 2);
+        // A regular file where the directory should be: the write fails,
+        // and the error names the record file.
+        let blocked = base.join("BENCH_t.json");
+        let err = append_line(&blocked, "BENCH_u.json", &line).unwrap_err();
+        assert!(err.to_string().contains("BENCH_u.json"), "{err}");
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -11,9 +11,21 @@
 //! * `--trace-subsystems <spec>` — comma-separated subsystem filter
 //!   (`engine,net,kernel,utcsu,cluster,gps,app,faults,serve` or `all`;
 //!   default `all` when `--trace-out` is given).
+//!
+//! The experiment-owned mode flags (`--smoke`, `--no-telemetry`,
+//! `--telemetry-gate`, `--metrics-addr <ip:port>`) are accepted and left to
+//! the experiment. Anything else — an unknown argument, a flag missing its
+//! value, an unknown trace subsystem — prints the usage and exits with
+//! status 2.
 
 use nti_obs::{SimObserver, Subsystem};
 use std::path::PathBuf;
+
+/// The flags every experiment accepts.
+const USAGE: &str = "usage: <experiment> [--obs-summary] [--trace-out <path>] \
+[--trace-subsystems <spec>] [--smoke] [--no-telemetry] [--telemetry-gate] \
+[--metrics-addr <ip:port>]
+  <spec>: comma-separated engine,net,kernel,utcsu,cluster,gps,app,faults,serve, or all";
 
 /// Parsed observability options.
 #[derive(Debug, Clone, Default)]
@@ -27,54 +39,55 @@ pub struct ObsOpts {
 }
 
 impl ObsOpts {
-    /// Parse `std::env::args()`, consuming the flags described in the
-    /// module docs. Unknown arguments are ignored (experiments have no
-    /// other flags today; anything unrecognized is reported to stderr).
+    /// Parse `std::env::args()` with [`ObsOpts::parse`]; on a parse error
+    /// print it with the usage and exit with status 2.
     pub fn from_env() -> ObsOpts {
+        ObsOpts::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parse the flags described in the module docs (without the program
+    /// name).
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<ObsOpts, String> {
         let mut opts = ObsOpts {
             summary: false,
             trace_out: None,
             trace_mask: u32::MAX,
         };
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
+            let mut value = |what: &str| {
+                args.next()
+                    .ok_or_else(|| format!("{arg} needs {what} argument"))
+            };
             match arg.as_str() {
                 "--obs-summary" => opts.summary = true,
-                "--trace-out" => match args.next() {
-                    Some(p) => opts.trace_out = Some(PathBuf::from(p)),
-                    None => eprintln!("warning: --trace-out needs a path argument"),
-                },
-                "--trace-subsystems" => match args.next() {
-                    Some(spec) => {
-                        opts.trace_mask = Subsystem::mask_from_spec(&spec);
-                        for part in spec.split(',').map(str::trim) {
-                            let known = part.is_empty()
-                                || part.eq_ignore_ascii_case("all")
-                                || Subsystem::ALL
-                                    .iter()
-                                    .any(|s| part.eq_ignore_ascii_case(s.name()));
-                            if !known {
-                                eprintln!(
-                                    "warning: unknown trace subsystem {part:?} (known: \
-                                     engine,net,kernel,utcsu,cluster,gps,app,faults,serve,all)"
-                                );
-                            }
-                        }
+                "--trace-out" => opts.trace_out = Some(PathBuf::from(value("a path")?)),
+                "--trace-subsystems" => {
+                    let spec = value("a spec")?;
+                    if let Some(part) = spec.split(',').map(str::trim).find(|part| {
+                        !part.is_empty()
+                            && !part.eq_ignore_ascii_case("all")
+                            && !Subsystem::ALL
+                                .iter()
+                                .any(|s| part.eq_ignore_ascii_case(s.name()))
+                    }) {
+                        return Err(format!("unknown trace subsystem {part:?}"));
                     }
-                    None => eprintln!("warning: --trace-subsystems needs a spec argument"),
-                },
-                // Experiment-owned mode flags (e16_chaos, nti_analyze,
+                    opts.trace_mask = Subsystem::mask_from_spec(&spec);
+                }
+                // Experiment-owned mode flags (e16_chaos, e18_churn,
                 // e19/e20 telemetry).
                 "--smoke" | "--no-telemetry" | "--telemetry-gate" => {}
                 "--metrics-addr" => {
-                    if args.next().is_none() {
-                        eprintln!("warning: --metrics-addr needs an ip:port argument");
-                    }
+                    value("an ip:port")?;
                 }
-                other => eprintln!("warning: ignoring unknown argument {other:?}"),
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// Build the observer these options ask for: disabled when neither
@@ -107,5 +120,48 @@ impl ObsOpts {
                 Err(e) => eprintln!("trace: failed to write {}: {e}", path.display()),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ObsOpts, String> {
+        ObsOpts::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn accepts_every_documented_flag() {
+        let o = parse(&[
+            "--obs-summary",
+            "--trace-out",
+            "t.jsonl",
+            "--trace-subsystems",
+            "cluster, utcsu",
+            "--smoke",
+            "--no-telemetry",
+            "--telemetry-gate",
+            "--metrics-addr",
+            "127.0.0.1:9190",
+        ])
+        .expect("valid flags");
+        assert!(o.summary);
+        assert_eq!(o.trace_out, Some(PathBuf::from("t.jsonl")));
+        assert_eq!(
+            o.trace_mask,
+            Subsystem::Cluster.bit() | Subsystem::Utcsu.bit()
+        );
+        assert_eq!(parse(&[]).unwrap().trace_mask, u32::MAX);
+    }
+
+    #[test]
+    fn rejects_unknown_input() {
+        let err = parse(&["--obs-sumary"]).unwrap_err();
+        assert!(err.contains("--obs-sumary"), "{err}");
+        let err = parse(&["--trace-subsystems", "cluster,netz"]).unwrap_err();
+        assert!(err.contains("netz"), "{err}");
+        assert!(parse(&["--trace-out"]).is_err());
+        assert!(parse(&["--metrics-addr"]).is_err());
     }
 }

@@ -47,6 +47,8 @@ use nti_simcore::{Accuracy, Engine, Oscillator, QueueKind, SimRng, Summary};
 use nti_utcsu::regs as uregs;
 use nti_utcsu::{IntSource, UtcsuConfig};
 use std::collections::HashMap;
+use std::ops::Range;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Oscillator population model.
@@ -323,15 +325,15 @@ impl ClusterConfig {
 }
 
 /// A frame in flight on some segment.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Flight {
     src: usize,
     lan: usize,
-    attachment: usize,
     payload: CspPayload,
     /// The payload bytes as serialized into the sender's NTI data buffer —
     /// what actually rides the wire and lands in the receiver's memory.
-    payload_bytes: Vec<u8>,
+    /// Shared by every attachment's flight and every receiver's data copy.
+    payload_bytes: Rc<[u8]>,
     wire_end: SimTime,
     sw_stamp_real: SimTime,
     hw_ts: Option<u32>,
@@ -1509,7 +1511,7 @@ fn csp_send(world: &mut World, eng: &mut Eng, id: usize, sw_stamp: NtpTime, sw_r
         node: id as u32,
         round,
         // A Byzantine node lies about its accuracy (claims near-perfect
-        // knowledge while its value is corrupted in exec_tx_read).
+        // knowledge while its value is corrupted in exec_tx_reads).
         alpha_minus: if byzantine { 1 } else { alpha_m.0 },
         alpha_plus: if byzantine { 1 } else { alpha_p.0 },
         macrostamp: ms,
@@ -1522,7 +1524,7 @@ fn csp_send(world: &mut World, eng: &mut Eng, id: usize, sw_stamp: NtpTime, sw_r
     // read it back through the COMCO view: the bytes that ride the wire
     // are whatever the DMA engine fetches from the shared memory, exactly
     // as in Figure 2's data path.
-    let payload_bytes: Vec<u8> = {
+    let payload_bytes: Rc<[u8]> = {
         let node = &mut world.nodes[id];
         let buf = nti_module::DATA_BUF_BASE + (node.tx_slot % 8) * 256;
         let bytes = payload.encode();
@@ -1577,7 +1579,19 @@ fn csp_send(world: &mut World, eng: &mut Eng, id: usize, sw_stamp: NtpTime, sw_r
         let ready = world.nodes[id].comcos[a].tx_ready(now);
         let grant = world.mediums[lan].grant(ready, bits);
         let header_len = world.cfg.cpld.header_len;
+        // Only the TRANSMIT trigger read is time-observable: the reads up
+        // to it fold into one event at its instant, the rest (the mapped
+        // stamp and accuracy among them) into one at the last read's
+        // instant (DESIGN.md §4).
         let plan = world.nodes[id].comcos[a].plan_transmit(grant.wire_start, header_len);
+        let reads = plan.header_reads;
+        let words = reads.len() as u32;
+        let split = reads
+            .iter()
+            .position(|r| r.offset == world.cfg.cpld.xmt_trigger_off)
+            .map_or(0, |i| i as u32 + 1);
+        let trigger_at = reads[..split as usize].last().map(|r| r.at.max(now));
+        let last_at = reads.last().map(|r| r.at.max(now));
         let receivers = world
             .topology
             .members(lan)
@@ -1592,9 +1606,8 @@ fn csp_send(world: &mut World, eng: &mut Eng, id: usize, sw_stamp: NtpTime, sw_r
             Flight {
                 src: id,
                 lan,
-                attachment: a,
                 payload,
-                payload_bytes: payload_bytes.clone(),
+                payload_bytes: Rc::clone(&payload_bytes),
                 wire_end: grant.wire_end,
                 sw_stamp_real: sw_real,
                 hw_ts: None,
@@ -1614,22 +1627,35 @@ fn csp_send(world: &mut World, eng: &mut Eng, id: usize, sw_stamp: NtpTime, sw_r
         }
         let slot = world.nodes[id].tx_slot % world.nodes[id].nti.tx_header_count();
         world.nodes[id].tx_slot = world.nodes[id].tx_slot.wrapping_add(1);
-        for acc in &plan.header_reads {
-            let (at, off) = (acc.at, acc.offset);
-            let at = at.max(now);
-            eng.schedule_at(at, move |w, e| exec_tx_read(w, e, id, fid, slot, off));
+        if let Some(at) = trigger_at {
+            eng.schedule_at(at, move |w, e| {
+                exec_tx_reads(w, e, id, fid, a, slot, 0..split)
+            });
+        }
+        if let Some(at) = last_at.filter(|_| split < words) {
+            eng.schedule_at(at, move |w, e| {
+                exec_tx_reads(w, e, id, fid, a, slot, split..words)
+            });
         }
         let we = grant.wire_end;
         eng.schedule_at(we, move |w, e| wire_done(w, e, fid));
-        let _ = a;
     }
 }
 
-/// One COMCO header read during transmission (step 4). The read of the
-/// trigger offset fires TRANSMIT; the mapped offsets return the stamp,
-/// which we capture into the in-flight frame (that is the "transparent
-/// insertion into the outgoing packet").
-fn exec_tx_read(world: &mut World, eng: &mut Eng, id: usize, fid: u64, slot: u32, off: u32) {
+/// COMCO header reads during transmission (step 4): header `words` of
+/// transmit slot `slot`, in order, folded into one event at the last one's
+/// instant. The read of the trigger offset fires TRANSMIT; the mapped
+/// offsets return the stamp, which we capture into the in-flight frame
+/// (that is the "transparent insertion into the outgoing packet").
+fn exec_tx_reads(
+    world: &mut World,
+    eng: &mut Eng,
+    id: usize,
+    fid: u64,
+    a: usize,
+    slot: u32,
+    words: Range<u32>,
+) {
     let now = eng.now();
     if world.down[id] {
         return; // DMA engine lost power mid-transmission
@@ -1638,57 +1664,59 @@ fn exec_tx_read(world: &mut World, eng: &mut Eng, id: usize, fid: u64, slot: u32
     let Some(flight) = world.flights.get_mut(&fid) else {
         return;
     };
-    let cpld = world.nodes[id].nti.cpld();
-    let a = flight.attachment;
-    let value = if a == 0 {
-        // Full-fidelity path through the NTI memory map.
-        let addr = world.nodes[id].nti.tx_header_addr(slot) + off;
-        world.nodes[id].nti.read32(addr)
-    } else {
-        // Additional attachments (gateways): the decode for SSU `a` is the
-        // same CPLD rule on a different header bank; shortcut to the
-        // triggers directly.
-        if off == cpld.xmt_trigger_off {
-            world.nodes[id].nti.utcsu_mut().trigger_ssu_transmit(a);
-        }
-        let latch = world.nodes[id].nti.utcsu().ssu[a].transmit.peek();
-        if off == cpld.xmt_map_ts_off {
-            latch.map_or(0, |s| s.ts.0)
-        } else if off == cpld.xmt_map_acc_off {
-            latch.map_or(0, |s| s.acc_packed())
+    let cpld = world.cfg.cpld;
+    let nti = &mut world.nodes[id].nti;
+    for off in words.map(|w| w * 4) {
+        let value = if a == 0 {
+            // Full-fidelity path through the NTI memory map.
+            let addr = nti.tx_header_addr(slot) + off;
+            nti.read32(addr)
         } else {
-            0
-        }
-    };
-    if off == cpld.xmt_trigger_off {
-        flight.xmit_trigger_real = Some(now);
-        if let Some(o) = &world.obs {
-            if flight.span.is_some() {
-                flight.span = o.hop(
-                    HOP_XMIT_TRIGGER,
-                    now.as_fs(),
-                    now.saturating_since(flight.span_t).as_fs(),
-                    id as u32,
-                    flight.span,
-                );
-                flight.span_t = now;
+            // Additional attachments (gateways): the decode for SSU `a` is
+            // the same CPLD rule on a different header bank; shortcut to
+            // the triggers directly.
+            if off == cpld.xmt_trigger_off {
+                nti.utcsu_mut().trigger_ssu_transmit(a);
             }
-        }
-    } else if off == cpld.xmt_map_ts_off {
-        // A Byzantine node cannot forge the hardware insertion itself, but
-        // it can have programmed its UTCSU clock arbitrarily; model the
-        // effect as a deterministic per-flight corruption of the stamp
-        // (0.125 s .. 0.875 s of lie).
-        let v = if flight.byzantine {
-            value.wrapping_add((((fid % 7) as u32) + 1) << 21)
-        } else {
-            value
+            let latch = nti.utcsu().ssu[a].transmit.peek();
+            if off == cpld.xmt_map_ts_off {
+                latch.map_or(0, |s| s.ts.0)
+            } else if off == cpld.xmt_map_acc_off {
+                latch.map_or(0, |s| s.acc_packed())
+            } else {
+                0
+            }
         };
-        flight.hw_ts = Some(v);
-        flight.payload.hw_timestamp = v;
-    } else if off == cpld.xmt_map_acc_off {
-        flight.hw_acc = Some(value);
-        flight.payload.hw_acc = value;
+        if off == cpld.xmt_trigger_off {
+            flight.xmit_trigger_real = Some(now);
+            if let Some(o) = &world.obs {
+                if flight.span.is_some() {
+                    flight.span = o.hop(
+                        HOP_XMIT_TRIGGER,
+                        now.as_fs(),
+                        now.saturating_since(flight.span_t).as_fs(),
+                        id as u32,
+                        flight.span,
+                    );
+                    flight.span_t = now;
+                }
+            }
+        } else if off == cpld.xmt_map_ts_off {
+            // A Byzantine node cannot forge the hardware insertion itself,
+            // but it can have programmed its UTCSU clock arbitrarily; model
+            // the effect as a deterministic per-flight corruption of the
+            // stamp (0.125 s .. 0.875 s of lie).
+            let v = if flight.byzantine {
+                value.wrapping_add((((fid % 7) as u32) + 1) << 21)
+            } else {
+                value
+            };
+            flight.hw_ts = Some(v);
+            flight.payload.hw_timestamp = v;
+        } else if off == cpld.xmt_map_acc_off {
+            flight.hw_acc = Some(value);
+            flight.payload.hw_acc = value;
+        }
     }
 }
 
@@ -1700,6 +1728,7 @@ fn wire_done(world: &mut World, eng: &mut Eng, fid: u64) {
     };
     let (src, lan, wire_end) = (flight.src, flight.lan, flight.wire_end);
     let chain = (flight.span, flight.span_t);
+    let bytes = Rc::clone(&flight.payload_bytes);
     if world.mediums[lan].is_partitioned() {
         // Severed segment: the frame propagated into the break and reaches
         // no receiver.
@@ -1739,7 +1768,7 @@ fn wire_done(world: &mut World, eng: &mut Eng, fid: u64) {
             continue;
         }
         let arrival = wire_end + prop + world.injector.extra_arrival_delay(src, q, now);
-        schedule_reception(world, eng, fid, q, lan, arrival);
+        schedule_reception(world, eng, fid, &bytes, q, lan, arrival);
         scheduled += 1;
         if world.injector.duplicate_reception(src, q, now) {
             // A duplicated frame arrives one serialization slot later; the
@@ -1747,7 +1776,7 @@ fn wire_done(world: &mut World, eng: &mut Eng, fid: u64) {
             // take() keeps only the first, but the trigger/latch machinery
             // still exercises the overrun path.
             let dup_at = arrival + world.mediums[lan].serialize(csp_frame_bits());
-            schedule_reception(world, eng, fid, q, lan, dup_at);
+            schedule_reception(world, eng, fid, &bytes, q, lan, dup_at);
             scheduled += 1;
         }
     }
@@ -1762,10 +1791,17 @@ fn wire_done(world: &mut World, eng: &mut Eng, fid: u64) {
 
 /// Schedule the COMCO reception pipeline (header writes, data copy,
 /// interrupt) for one receiver of one flight, starting at `arrival`.
+///
+/// Only two of its bus accesses are time-observable: the header write at
+/// the CPLD's receive-trigger offset, and the interrupt. The writes up to
+/// the trigger (with the data copy after the first) fold into one event at
+/// the trigger's instant, the rest into the interrupt event, in plan order
+/// (DESIGN.md §4).
 fn schedule_reception(
     world: &mut World,
     eng: &mut Eng,
     fid: u64,
+    bytes: &Rc<[u8]>,
     q: usize,
     lan: usize,
     arrival: SimTime,
@@ -1774,40 +1810,103 @@ fn schedule_reception(
         .topology
         .attachment_index(q, lan)
         .expect("member attachment");
-    let plan = world.nodes[q].comcos[a_q].plan_receive(arrival, world.cfg.cpld.header_len);
+    let cpld = world.cfg.cpld;
+    let plan = world.nodes[q].comcos[a_q].plan_receive(arrival, cpld.header_len);
+    let writes = plan.header_writes;
+    let words = writes.len() as u32;
+    let trigger = writes
+        .iter()
+        .position(|w| w.offset == cpld.rcv_trigger_off)
+        .map(|k| (k as u32, writes[k].at));
+    let int_at = plan.interrupt_at;
     let slot = world.nodes[q].rx_slot % world.nodes[q].nti.rx_header_count();
     world.nodes[q].rx_slot = world.nodes[q].rx_slot.wrapping_add(1);
-    for acc in &plan.header_writes {
-        let (at, off) = (acc.at, acc.offset);
-        eng.schedule_at(at, move |w, e| exec_rx_write(w, e, q, fid, a_q, slot, off));
-    }
-    // The COMCO also stores the frame data into the receiver's data
-    // buffer (a plain region: no triggers) before the interrupt.
-    let first_write = plan.header_writes.first().map(|a| a.at).unwrap_or(arrival);
-    eng.schedule_at(first_write, move |w, _| {
-        if w.down[q] {
-            return;
+    let rest = match trigger {
+        Some((k, at)) => {
+            let data = Rc::clone(bytes);
+            eng.schedule_at(at, move |w, e| {
+                rx_trigger_event(w, e, q, fid, a_q, slot, k, &data)
+            });
+            k + 1
         }
-        let Some(flight) = w.flights.get(&fid) else {
-            return;
-        };
-        let bytes = flight.payload_bytes.clone();
-        let buf = rx_data_buf(slot);
-        for (i, chunk) in bytes.chunks(4).enumerate() {
-            let mut word = [0u8; 4];
-            word[..chunk.len()].copy_from_slice(chunk);
-            w.nodes[q]
-                .nti
-                .write32(buf + i as u32 * 4, u32::from_le_bytes(word));
+        None => 0,
+    };
+    // Without a trigger write the first store, and so the data copy, rides
+    // the interrupt event.
+    let data = (rest == 0).then(|| Rc::clone(bytes));
+    eng.schedule_at(int_at, move |w, e| {
+        if !w.down[q] {
+            rx_stores(w, q, a_q, slot, rest..words, data.as_deref());
         }
+        rx_complete(w, e, q, fid, a_q, slot)
     });
-    let int_at = plan.interrupt_at;
-    eng.schedule_at(int_at, move |w, e| rx_complete(w, e, q, fid, a_q, slot));
 }
 
-/// One COMCO header write during reception (step 5). The write of the
-/// receive-trigger offset fires RECEIVE and latches the header base.
-fn exec_rx_write(
+/// Plain COMCO stores of one reception, in plan order: header `words` of
+/// receive slot `slot` (never the trigger word), and the frame data into
+/// the slot's data buffer right after word 0. Neither is time-observable:
+/// no trigger decodes there, and only `rx_complete` reads them back.
+fn rx_stores(
+    world: &mut World,
+    q: usize,
+    a: usize,
+    slot: u32,
+    words: Range<u32>,
+    data: Option<&[u8]>,
+) {
+    for w in words {
+        if a == 0 {
+            let nti = &mut world.nodes[q].nti;
+            let addr = nti.rx_header_addr(slot) + w * 4;
+            nti.write32(addr, 0);
+        }
+        if let (0, Some(bytes)) = (w, data) {
+            rx_data_copy(world, q, slot, bytes);
+        }
+    }
+}
+
+/// The COMCO stores the frame data into the receiver's data buffer (a
+/// plain region: no triggers).
+fn rx_data_copy(world: &mut World, q: usize, slot: u32, bytes: &[u8]) {
+    let buf = rx_data_buf(slot);
+    for (i, chunk) in bytes.chunks(4).enumerate() {
+        let mut word = [0u8; 4];
+        word[..chunk.len()].copy_from_slice(chunk);
+        world.nodes[q]
+            .nti
+            .write32(buf + i as u32 * 4, u32::from_le_bytes(word));
+    }
+}
+
+/// The reception's first event, at the receive-trigger write (step 5): the
+/// header words before trigger word `k` and the data copy, then the
+/// trigger write itself, which fires RECEIVE and latches the header base.
+#[allow(clippy::too_many_arguments)]
+fn rx_trigger_event(
+    world: &mut World,
+    eng: &mut Eng,
+    q: usize,
+    fid: u64,
+    a: usize,
+    slot: u32,
+    k: u32,
+    data: &[u8],
+) {
+    if world.down[q] {
+        return;
+    }
+    world.nodes[q].advance(eng.now());
+    rx_stores(world, q, a, slot, 0..k, Some(data));
+    rx_trigger_write(world, eng, q, fid, a, slot, k * 4);
+    if k == 0 {
+        rx_data_copy(world, q, slot, data);
+    }
+}
+
+/// The header write at the receive-trigger offset `off`, with the
+/// trigger-path fault injection.
+fn rx_trigger_write(
     world: &mut World,
     eng: &mut Eng,
     q: usize,
@@ -1817,114 +1916,105 @@ fn exec_rx_write(
     off: u32,
 ) {
     let now = eng.now();
-    if world.down[q] {
+    // The inbound chain head (the wire span) of this frame, when the
+    // sender's side was traced.
+    let chain = world
+        .flights
+        .get(&fid)
+        .map(|f| (f.span, f.span_t))
+        .unwrap_or((SpanId::NONE, now));
+    // Trigger-path fault injection: a missed DMA trigger means the stamp
+    // is never latched (the frame later drops in rx_complete); a late
+    // trigger latches a stamp that post-dates the true arrival.
+    if world.injector.missed_trigger(q, now) {
+        world
+            .injector
+            .annotate_span(now, q, "fault_trigger_missed", chain.0, 0);
+        world.nodes[q]
+            .driver
+            .deliver(nti_kernel::ETHERTYPE_CI, fid as usize, Vec::new());
         return;
     }
-    world.nodes[q].advance(now);
-    let cpld = world.nodes[q].nti.cpld();
-    if off == cpld.rcv_trigger_off {
-        // The inbound chain head (the wire span) of this frame, when the
-        // sender's side was traced.
-        let chain = world
-            .flights
-            .get(&fid)
-            .map(|f| (f.span, f.span_t))
-            .unwrap_or((SpanId::NONE, now));
-        // Trigger-path fault injection: a missed DMA trigger means the
-        // stamp is never latched (the frame later drops in rx_complete); a
-        // late trigger latches a stamp that post-dates the true arrival.
-        if world.injector.missed_trigger(q, now) {
-            world
-                .injector
-                .annotate_span(now, q, "fault_trigger_missed", chain.0, 0);
-            world.nodes[q]
-                .driver
-                .deliver(nti_kernel::ETHERTYPE_CI, fid as usize, Vec::new());
-            return;
-        }
-        if let Some(d) = world.injector.late_trigger(q, now) {
-            let xt = world.flights.get(&fid).and_then(|f| f.xmit_trigger_real);
-            eng.schedule_at(now + d, move |w, e| {
-                if w.down[q] {
-                    return;
-                }
-                let t = e.now();
-                w.nodes[q].advance(t);
-                if let Some(o) = &w.obs {
-                    if chain.0.is_some() {
-                        let rcv = o.hop(
-                            HOP_RCV_TRIGGER,
-                            t.as_fs(),
-                            t.saturating_since(chain.1).as_fs(),
-                            q as u32,
-                            chain.0,
-                        );
-                        // The injected lateness rides the chain as a fault
-                        // annotation child of the trigger span.
-                        w.injector
-                            .annotate_span(t, q, "fault_trigger_late", rcv, d.as_fs());
-                        w.nodes[q]
-                            .nti
-                            .utcsu_mut()
-                            .stage_trigger_span(rcv, t.as_fs());
-                        w.rx_spans.insert((fid, q), (rcv, t));
-                    }
-                }
-                if a == 0 {
-                    let addr = w.nodes[q].nti.rx_header_addr(slot) + off;
-                    w.nodes[q].nti.write32(addr, 0);
-                } else {
-                    w.nodes[q].nti.utcsu_mut().trigger_ssu_receive(a);
-                }
-                note_latch_span(w, t, fid, q);
-                // The trigger-latency invariant is checked here rather
-                // than at the reception interrupt: a trigger this late may
-                // miss the latch window entirely, in which case the frame
-                // drops before `record_eps` would ever observe the pair.
-                if let (Some(m), Some(xt)) = (w.monitors.as_mut(), xt) {
-                    m.trigger_latency(t.as_fs(), q as u32, t.saturating_since(xt).as_fs());
-                }
-                w.rx_triggers.insert((fid, q), t);
-            });
-            world.nodes[q]
-                .driver
-                .deliver(nti_kernel::ETHERTYPE_CI, fid as usize, Vec::new());
-            return;
-        }
-        // Nominal trigger: the receive hop (propagation plus the header
-        // writes preceding the trigger) ends now; stage the span context
-        // so the UTCSU parents its latch span under the trigger span.
-        if let Some(o) = &world.obs {
-            if chain.0.is_some() {
-                let rcv = o.hop(
-                    HOP_RCV_TRIGGER,
-                    now.as_fs(),
-                    now.saturating_since(chain.1).as_fs(),
-                    q as u32,
-                    chain.0,
-                );
-                world.nodes[q]
-                    .nti
-                    .utcsu_mut()
-                    .stage_trigger_span(rcv, now.as_fs());
-                world.rx_spans.insert((fid, q), (rcv, now));
+    if let Some(d) = world.injector.late_trigger(q, now) {
+        let xt = world.flights.get(&fid).and_then(|f| f.xmit_trigger_real);
+        eng.schedule_at(now + d, move |w, e| {
+            if w.down[q] {
+                return;
             }
+            let t = e.now();
+            w.nodes[q].advance(t);
+            if let Some(o) = &w.obs {
+                if chain.0.is_some() {
+                    let rcv = o.hop(
+                        HOP_RCV_TRIGGER,
+                        t.as_fs(),
+                        t.saturating_since(chain.1).as_fs(),
+                        q as u32,
+                        chain.0,
+                    );
+                    // The injected lateness rides the chain as a fault
+                    // annotation child of the trigger span.
+                    w.injector
+                        .annotate_span(t, q, "fault_trigger_late", rcv, d.as_fs());
+                    w.nodes[q]
+                        .nti
+                        .utcsu_mut()
+                        .stage_trigger_span(rcv, t.as_fs());
+                    w.rx_spans.insert((fid, q), (rcv, t));
+                }
+            }
+            if a == 0 {
+                let addr = w.nodes[q].nti.rx_header_addr(slot) + off;
+                w.nodes[q].nti.write32(addr, 0);
+            } else {
+                w.nodes[q].nti.utcsu_mut().trigger_ssu_receive(a);
+            }
+            note_latch_span(w, t, fid, q);
+            // The trigger-latency invariant is checked here rather than at
+            // the reception interrupt: a trigger this late may miss the
+            // latch window entirely, in which case the frame drops before
+            // `record_eps` would ever observe the pair.
+            if let (Some(m), Some(xt)) = (w.monitors.as_mut(), xt) {
+                m.trigger_latency(t.as_fs(), q as u32, t.saturating_since(xt).as_fs());
+            }
+            w.rx_triggers.insert((fid, q), t);
+        });
+        world.nodes[q]
+            .driver
+            .deliver(nti_kernel::ETHERTYPE_CI, fid as usize, Vec::new());
+        return;
+    }
+    // Nominal trigger: the receive hop (propagation plus the header writes
+    // preceding the trigger) ends now; stage the span context so the UTCSU
+    // parents its latch span under the trigger span.
+    if let Some(o) = &world.obs {
+        if chain.0.is_some() {
+            let rcv = o.hop(
+                HOP_RCV_TRIGGER,
+                now.as_fs(),
+                now.saturating_since(chain.1).as_fs(),
+                q as u32,
+                chain.0,
+            );
+            world.nodes[q]
+                .nti
+                .utcsu_mut()
+                .stage_trigger_span(rcv, now.as_fs());
+            world.rx_spans.insert((fid, q), (rcv, now));
         }
     }
     if a == 0 {
         let addr = world.nodes[q].nti.rx_header_addr(slot) + off;
         world.nodes[q].nti.write32(addr, 0);
-    } else if off == cpld.rcv_trigger_off {
+    } else {
         world.nodes[q].nti.utcsu_mut().trigger_ssu_receive(a);
     }
-    if off == cpld.rcv_trigger_off {
-        note_latch_span(world, now, fid, q);
-        world.rx_triggers.insert((fid, q), now);
-        // The ISR-level driver sees the frame as CI traffic (Figure 9).
-        world.nodes[q]
-            .driver
-            .deliver(nti_kernel::ETHERTYPE_CI, fid as usize, Vec::new());
-    }
+    note_latch_span(world, now, fid, q);
+    world.rx_triggers.insert((fid, q), now);
+    // The ISR-level driver sees the frame as CI traffic (Figure 9).
+    world.nodes[q]
+        .driver
+        .deliver(nti_kernel::ETHERTYPE_CI, fid as usize, Vec::new());
 }
 
 /// A receive trigger just fired with a staged span context: upgrade the
@@ -1967,20 +2057,13 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
     world.nodes[q].advance(now);
     // The protocol software reads the CSP payload out of the receiver's
     // own NTI memory (CPU view) — the bytes the COMCO deposited.
-    let stored: Vec<u8> = {
-        let buf = rx_data_buf(slot);
-        let n = CSP_PAYLOAD_LEN.div_ceil(4);
-        (0..n)
-            .flat_map(|i| {
-                world.nodes[q]
-                    .nti
-                    .read32(nti_module::CPU_BASE + buf + i as u32 * 4)
-                    .to_le_bytes()
-            })
-            .take(CSP_PAYLOAD_LEN)
-            .collect()
-    };
-    // Pull the receive-trigger instant recorded by exec_rx_write, and let
+    let mut stored = [0u8; CSP_PAYLOAD_LEN];
+    let buf = nti_module::CPU_BASE + rx_data_buf(slot);
+    for (i, chunk) in stored.chunks_mut(4).enumerate() {
+        let word = world.nodes[q].nti.read32(buf + i as u32 * 4).to_le_bytes();
+        chunk.copy_from_slice(&word[..chunk.len()]);
+    }
+    // Pull the receive-trigger instant recorded at the trigger write, and let
     // the driver consume the CI queue entry (KI/NI traffic is untouched).
     let trigger_real = world.rx_triggers.remove(&(fid, q));
     let rx_span = world.rx_spans.remove(&(fid, q));
@@ -1989,20 +2072,21 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
         return;
     };
     flight.receivers_pending -= 1;
-    let done = flight.receivers_pending == 0;
-    let mut flight = flight.clone();
-    if done {
+    let sent = flight.payload;
+    let (corrupted, marked) = (flight.corrupted, flight.marked);
+    let (xmit_trigger_real, sw_stamp_real) = (flight.xmit_trigger_real, flight.sw_stamp_real);
+    if flight.receivers_pending == 0 {
         world.flights.remove(&fid);
     }
     // Decode what actually landed in memory; the hardware-inserted fields
     // (transmit stamp + accuracies) came in the *header*, so they are
     // merged from the mapped values the COMCO fetched.
-    match CspPayload::decode(&stored) {
+    let payload = match CspPayload::decode(&stored) {
         Some(mut p) => {
-            p.hw_timestamp = flight.payload.hw_timestamp;
-            p.hw_acc = flight.payload.hw_acc;
-            debug_assert_eq!(p, flight.payload, "memory path corrupted the payload");
-            flight.payload = p;
+            p.hw_timestamp = sent.hw_timestamp;
+            p.hw_acc = sent.hw_acc;
+            debug_assert_eq!(p, sent, "memory path corrupted the payload");
+            p
         }
         None => {
             // Payload missing from memory: an overlapped reception
@@ -2011,8 +2095,8 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
             count_drop(world, now, q, DropCause::Overrun);
             return;
         }
-    }
-    if flight.corrupted {
+    };
+    if corrupted {
         // Footnote 4: the trigger fired but the frame is discarded; the
         // ISR clears the latch so the stamp is not misattributed.
         world.nodes[q].nti.utcsu_mut().ssu[a].receive.clear();
@@ -2062,7 +2146,7 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
                     return;
                 }
             };
-            if let (Some(tr), Some(tx)) = (trigger_real, flight.xmit_trigger_real) {
+            if let (Some(tr), Some(tx)) = (trigger_real, xmit_trigger_real) {
                 record_eps(world, eng.now(), tr, tx);
                 // Trigger-to-latch budget: the measured stamp-pair delay
                 // must stay inside the static bound δ_max.
@@ -2076,10 +2160,10 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
                     w,
                     e,
                     q,
-                    flight.payload,
-                    flight_hw_stamp(&flight),
+                    payload,
+                    hw_xmit_stamp(&payload),
                     recv_local,
-                    flight.marked,
+                    marked,
                     chain,
                 )
             });
@@ -2089,7 +2173,7 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
             // asserts (now), before any ISR latency.
             world.nodes[q].nti.utcsu_mut().ssu[a].receive.clear();
             let recv_local = world.nodes[q].read_clock_regs(now);
-            if let Some(tx) = flight.xmit_trigger_real {
+            if let Some(tx) = xmit_trigger_real {
                 record_eps(world, eng.now(), now, tx);
                 if let Some(m) = world.monitors.as_mut() {
                     m.trigger_latency(now.as_fs(), q as u32, now.saturating_since(tx).as_fs());
@@ -2101,10 +2185,10 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
                     w,
                     e,
                     q,
-                    flight.payload,
-                    flight_hw_stamp(&flight),
+                    payload,
+                    hw_xmit_stamp(&payload),
                     recv_local,
-                    flight.marked,
+                    marked,
                     chain,
                 )
             });
@@ -2118,18 +2202,9 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
                 let t = e.now();
                 w.nodes[q].advance(t);
                 let recv_local = w.nodes[q].read_clock_regs(t);
-                record_eps(w, t, t, flight.sw_stamp_real);
-                let xmit = sw_xmit_stamp(&flight, recv_local);
-                process_csp(
-                    w,
-                    e,
-                    q,
-                    flight.payload,
-                    xmit,
-                    recv_local,
-                    flight.marked,
-                    chain,
-                );
+                record_eps(w, t, t, sw_stamp_real);
+                let xmit = sw_xmit_stamp(&payload, recv_local);
+                process_csp(w, e, q, payload, xmit, recv_local, marked, chain);
             });
         }
     }
@@ -2137,9 +2212,9 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
 
 /// The sender stamp as `(value, α)` for the hardware-stamped modes,
 /// reconstructed from the mapped timestamp + the assembly macrostamp.
-fn flight_hw_stamp(flight: &Flight) -> (NtpTime, Accuracy, Accuracy) {
-    let ts = nti_simcore::Timestamp(flight.payload.hw_timestamp);
-    let ms = nti_simcore::Macrostamp(flight.payload.macrostamp);
+fn hw_xmit_stamp(payload: &CspPayload) -> (NtpTime, Accuracy, Accuracy) {
+    let ts = nti_simcore::Timestamp(payload.hw_timestamp);
+    let ms = nti_simcore::Macrostamp(payload.macrostamp);
     // The macrostamp was pre-computed at assembly; if the 256 s epoch
     // rolled between assembly and the trigger the checksum fails and we
     // fall back to epoch-free reconstruction via the timestamp alone
@@ -2150,7 +2225,7 @@ fn flight_hw_stamp(flight: &Flight) -> (NtpTime, Accuracy, Accuracy) {
             (secs << FRAC_BITS) | ((ts.frac24() as u128) << (FRAC_BITS - NTP_FRAC_BITS)),
         )
     });
-    let acc = flight.payload.hw_acc;
+    let acc = payload.hw_acc;
     (
         t,
         Accuracy((acc & 0xFFFF) as u16),
@@ -2161,14 +2236,14 @@ fn flight_hw_stamp(flight: &Flight) -> (NtpTime, Accuracy, Accuracy) {
 /// The sender stamp for software mode: the 8.24 software timestamp
 /// re-anchored near the receiver's clock (valid because offsets are far
 /// below the 256 s wrap).
-fn sw_xmit_stamp(flight: &Flight, recv_local: NtpTime) -> (NtpTime, Accuracy, Accuracy) {
-    let ts = nti_simcore::Timestamp(flight.payload.sw_timestamp);
+fn sw_xmit_stamp(payload: &CspPayload, recv_local: NtpTime) -> (NtpTime, Accuracy, Accuracy) {
+    let ts = nti_simcore::Timestamp(payload.sw_timestamp);
     let d = ts.wrapping_diff(recv_local.timestamp()) as i128;
     let t = recv_local.wrapping_add_units(d << (FRAC_BITS - NTP_FRAC_BITS));
     (
         t,
-        Accuracy(flight.payload.alpha_minus),
-        Accuracy(flight.payload.alpha_plus),
+        Accuracy(payload.alpha_minus),
+        Accuracy(payload.alpha_plus),
     )
 }
 

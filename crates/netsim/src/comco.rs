@@ -19,9 +19,12 @@
 //!   the receive frame descriptor once the FCS checked out), again with
 //!   per-access arbitration jitter, then raises the packet interrupt.
 //!
-//! The planner emits explicit bus-access schedules; the node driver replays
-//! them against the NTI at the scheduled instants, which makes ε an
+//! The planner emits explicit bus-access schedules, which makes ε an
 //! *emergent* quantity of the simulation rather than an assumed constant.
+//! The cluster replays each schedule against the NTI in order. It applies
+//! an access at its own planned instant only when the NTI can observe that
+//! instant (the trigger accesses); every other access waits for the next
+//! observable one.
 
 use nti_simcore::rng::SimRng;
 use nti_simcore::time::{SimDuration, SimTime};
@@ -164,18 +167,20 @@ pub struct BusAccess {
     pub offset: u32,
 }
 
-/// The transmit-side schedule.
-#[derive(Clone, Debug)]
-pub struct TxPlan {
+/// The transmit-side schedule, borrowed from the planning COMCO until its
+/// next plan.
+#[derive(Clone, Copy, Debug)]
+pub struct TxPlan<'a> {
     /// Header longword reads, in offset order, monotone in time.
-    pub header_reads: Vec<BusAccess>,
+    pub header_reads: &'a [BusAccess],
 }
 
-/// The receive-side schedule.
-#[derive(Clone, Debug)]
-pub struct RxPlan {
+/// The receive-side schedule, borrowed from the planning COMCO until its
+/// next plan.
+#[derive(Clone, Copy, Debug)]
+pub struct RxPlan<'a> {
     /// Header longword writes, in offset order, monotone in time.
-    pub header_writes: Vec<BusAccess>,
+    pub header_writes: &'a [BusAccess],
     /// When the packet-reception interrupt is asserted.
     pub interrupt_at: SimTime,
 }
@@ -186,6 +191,9 @@ pub struct Comco {
     timing: ComcoTiming,
     bitrate_bps: u64,
     rng: SimRng,
+    /// The last plan's header accesses; every plan reuses this buffer, so
+    /// planning allocates nothing once it has grown to the header length.
+    accesses: Vec<BusAccess>,
 }
 
 impl Comco {
@@ -196,6 +204,7 @@ impl Comco {
             timing,
             bitrate_bps,
             rng,
+            accesses: Vec::new(),
         }
     }
 
@@ -214,34 +223,37 @@ impl Comco {
     /// at `wire_start`. Reads lead the wire by the FIFO fill; each read adds
     /// arbitration jitter but the sequence stays monotone (the FIFO is
     /// filled in order).
-    pub fn plan_transmit(&mut self, wire_start: SimTime, header_len: u32) -> TxPlan {
+    pub fn plan_transmit(&mut self, wire_start: SimTime, header_len: u32) -> TxPlan<'_> {
         let byte_time = SimDuration::from_fs(8 * 1_000_000_000_000_000 / self.bitrate_bps as u128);
         let fifo_lead = byte_time * self.timing.tx_fifo_bytes as u128;
-        let mut t = wire_start.saturating_sub(fifo_lead);
-        let mut reads = Vec::with_capacity((header_len / 4) as usize);
-        for off in (0..header_len).step_by(4) {
-            t += self.timing.bus_cycle + self.timing.arb_jitter.draw(&mut self.rng);
-            reads.push(BusAccess { at: t, offset: off });
-        }
+        self.plan_accesses(wire_start.saturating_sub(fifo_lead), header_len);
         TxPlan {
-            header_reads: reads,
+            header_reads: &self.accesses,
         }
     }
 
     /// Plan the header writes + interrupt of a reception whose last wire
     /// bit arrived at `frame_end`.
-    pub fn plan_receive(&mut self, frame_end: SimTime, header_len: u32) -> RxPlan {
-        let mut t = frame_end + self.timing.rx_store_latency.draw(&mut self.rng);
-        let mut writes = Vec::with_capacity((header_len / 4) as usize);
-        for off in (0..header_len).step_by(4) {
-            t += self.timing.bus_cycle + self.timing.arb_jitter.draw(&mut self.rng);
-            writes.push(BusAccess { at: t, offset: off });
-        }
+    pub fn plan_receive(&mut self, frame_end: SimTime, header_len: u32) -> RxPlan<'_> {
+        let start = frame_end + self.timing.rx_store_latency.draw(&mut self.rng);
+        let t = self.plan_accesses(start, header_len);
         let interrupt_at = t + self.timing.rx_int_latency.draw(&mut self.rng);
         RxPlan {
-            header_writes: writes,
+            header_writes: &self.accesses,
             interrupt_at,
         }
+    }
+
+    /// One bus access per header longword, in offset order, each a bus
+    /// cycle plus arbitration jitter after the previous one (the first
+    /// after `t`). Returns the last access's time.
+    fn plan_accesses(&mut self, mut t: SimTime, header_len: u32) -> SimTime {
+        self.accesses.clear();
+        for off in (0..header_len).step_by(4) {
+            t += self.timing.bus_cycle + self.timing.arb_jitter.draw(&mut self.rng);
+            self.accesses.push(BusAccess { at: t, offset: off });
+        }
+        t
     }
 }
 
@@ -302,6 +314,20 @@ mod tests {
         assert_eq!(p.header_writes.len(), 16);
         assert!(p.header_writes[0].at > fe);
         assert!(p.interrupt_at > p.header_writes.last().unwrap().at);
+    }
+
+    #[test]
+    fn plans_reuse_one_buffer() {
+        let mut c = comco(ComcoTiming::i82596());
+        let rx = c
+            .plan_receive(SimTime::from_secs(1), 64)
+            .header_writes
+            .as_ptr();
+        let tx = c
+            .plan_transmit(SimTime::from_secs(2), 64)
+            .header_reads
+            .as_ptr();
+        assert_eq!(rx, tx, "a second plan must not reallocate");
     }
 
     #[test]

@@ -63,6 +63,8 @@ use nti_utcsu::{Utcsu, UtcsuConfig};
 
 /// Size of the NTI's shared SRAM (2 × 64K×16).
 pub const MEM_SIZE: usize = 256 * 1024;
+/// The unit in which the simulated SRAM is allocated.
+const PAGE: usize = 4096;
 /// Base of the COMCO-view region.
 pub const COMCO_BASE: u32 = 0x00000;
 /// Base of the System Structures section.
@@ -130,7 +132,11 @@ impl Default for CpldConfig {
 /// The NTI MA-Module: UTCSU + shared memory + CPLD + S-PROM.
 #[derive(Clone)]
 pub struct Nti {
-    mem: Box<[u8]>,
+    /// The shared SRAM, allocated a page at a time on first write: a node
+    /// only touches its system structures, headers and data buffers (a few
+    /// pages), so the rest costs neither memory nor zeroing. A page never
+    /// written reads as zero.
+    mem: Vec<Option<Box<[u8; PAGE]>>>,
     utcsu: Utcsu,
     cpld: CpldConfig,
     rcv_header_base: u32,
@@ -147,7 +153,7 @@ impl Nti {
             "header length must be a power of two"
         );
         Nti {
-            mem: vec![0u8; MEM_SIZE].into_boxed_slice(),
+            mem: vec![None; MEM_SIZE / PAGE],
             utcsu: Utcsu::new(utcsu_cfg),
             cpld,
             rcv_header_base: 0,
@@ -224,14 +230,18 @@ impl Nti {
         (v >> (8 * (addr & 3))) as u8
     }
 
+    // Accesses are longword-aligned, so none straddles a page.
     fn ram_read32(&self, off: u32) -> u32 {
-        let i = off as usize;
-        u32::from_le_bytes(self.mem[i..i + 4].try_into().expect("4-byte slice"))
+        let (page, i) = (off as usize / PAGE, off as usize % PAGE);
+        self.mem[page].as_ref().map_or(0, |p| {
+            u32::from_le_bytes(p[i..i + 4].try_into().expect("4-byte slice"))
+        })
     }
 
     fn ram_write32(&mut self, off: u32, v: u32) {
-        let i = off as usize;
-        self.mem[i..i + 4].copy_from_slice(&v.to_le_bytes());
+        let (page, i) = (off as usize / PAGE, off as usize % PAGE);
+        let p = self.mem[page].get_or_insert_with(|| Box::new([0; PAGE]));
+        p[i..i + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     /// COMCO-region read: plain RAM plus TRANSMIT trigger / transparent

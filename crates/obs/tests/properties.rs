@@ -6,16 +6,27 @@ use nti_obs::quantile::rank_for;
 use nti_obs::{Histogram, MetricKey, Payload, SimObserver, SpanId, Subsystem};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counting allocator: lets the disabled-path test assert zero allocation.
+/// The tally is per thread, so tests running concurrently on other test
+/// threads do not leak their allocations into the count.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor: reading it never
+    // allocates, so the allocator may touch it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Heap allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -175,7 +186,7 @@ fn disabled_observer_records_nothing_and_allocates_nothing() {
     assert!(!obs.is_enabled());
     assert!(obs.counter(MetricKey::global("x", "y")).is_none());
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 0..10_000u64 {
         obs.event(
             i as u128,
@@ -192,7 +203,7 @@ fn disabled_observer_records_nothing_and_allocates_nothing() {
         assert!(s.is_none());
         obs.span_link(i as u128, 7, 0, Subsystem::Cluster, "hop", s, SpanId::NONE);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "disabled path must not allocate");
     assert!(obs.events().is_empty(), "disabled path must record nothing");
 }
@@ -204,7 +215,7 @@ fn masked_out_tracer_records_nothing_and_allocates_nothing() {
     let obs = SimObserver::with_trace(1024, 0);
     assert!(obs.is_enabled());
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 0..10_000u64 {
         obs.instant(i as u128, 0, Subsystem::Net, "frame");
         // Span ids are a relaxed fetch-add; the masked-off link record is
@@ -213,7 +224,7 @@ fn masked_out_tracer_records_nothing_and_allocates_nothing() {
         assert!(s.is_some());
         obs.span_link(i as u128, 7, 0, Subsystem::Net, "hop", s, SpanId::NONE);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "masked-out trace path must not allocate");
     assert!(obs.events().is_empty());
 }

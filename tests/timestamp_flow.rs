@@ -32,7 +32,7 @@ fn transmit_stamp_inserted_on_the_fly() {
     let hdr = nti.tx_header_addr(0);
     let mut captured_ts = None;
     let mut captured_acc = None;
-    for acc in &plan.header_reads {
+    for acc in plan.header_reads {
         let tick = osc.ticks_at(acc.at);
         nti.utcsu_mut().advance_to_tick(tick);
         let v = nti.read32(hdr + acc.offset);
@@ -76,7 +76,7 @@ fn receive_stamp_latched_and_attributed() {
     let frame_end = SimTime::from_millis(200);
     let plan = comco.plan_receive(frame_end, 64);
     let hdr = nti.rx_header_addr(7);
-    for acc in &plan.header_writes {
+    for acc in plan.header_writes {
         let tick = osc.ticks_at(acc.at);
         nti.utcsu_mut().advance_to_tick(tick);
         nti.write32(hdr + acc.offset, 0xABCD);
