@@ -7,7 +7,7 @@
 //! six SSUs) and measures how precision degrades with hop count.
 
 use nti_bench::obs_cli::ObsOpts;
-use nti_bench::{eng, header, record, secs, with_duration};
+use nti_bench::{eng, exit_on_record_error, header, record, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig};
 use nti_netsim::Topology;
 
@@ -63,5 +63,5 @@ fn main() {
         per_hop[3] / per_hop[0]
     );
     println!("each gateway adds one delay-compensation + drift-compensation stage).");
-    opts.finish(&obs);
+    exit_on_record_error(opts.finish(&obs));
 }

@@ -11,7 +11,7 @@
 //! delays the simulation actually produced.
 
 use nti_bench::obs_cli::ObsOpts;
-use nti_bench::{eng, header};
+use nti_bench::{eng, exit_on_record_error, header};
 use nti_core::cluster::csp_frame_bits;
 use nti_core::params::delay_bounds_hardware;
 use nti_core::rtt::{delay_floor, RttEstimator};
@@ -237,5 +237,5 @@ fn main() {
     if let Some(g) = obs.gauge(MetricKey::global("app", "rtt_probes_rejected")) {
         g.set(est.rejected() as i64);
     }
-    opts.finish(&obs);
+    exit_on_record_error(opts.finish(&obs));
 }

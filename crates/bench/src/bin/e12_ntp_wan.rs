@@ -123,7 +123,7 @@ fn main() {
     println!("which is exactly why class-II systems warrant dedicated hardware.");
     println!();
     precision_vs_load(&obs);
-    opts.finish(&obs);
+    exit_on_record_error(opts.finish(&obs));
 }
 
 /// Offered serve loads, as background frames per node per second of

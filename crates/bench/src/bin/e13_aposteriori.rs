@@ -9,7 +9,7 @@
 //! broadcast faults increase.
 
 use nti_bench::obs_cli::ObsOpts;
-use nti_bench::{eng, header};
+use nti_bench::{eng, exit_on_record_error, header};
 use nti_core::aposteriori::{simulate_spray, SprayConfig};
 use nti_kernel::KernelConfig;
 use nti_obs::MetricKey;
@@ -86,5 +86,5 @@ fn main() {
     println!("reading: the scheme's precision is an order of magnitude short of the");
     println!("NTI (reception-path jitter remains), and whole rounds fail whenever all");
     println!("f+1 broadcasts are faulty — the 'quite optimistic' assumption of §5.");
-    opts.finish(&obs);
+    exit_on_record_error(opts.finish(&obs));
 }

@@ -19,7 +19,7 @@
 //! error injected straight into the synchronization algorithm.
 
 use nti_bench::obs_cli::ObsOpts;
-use nti_bench::{eng, header};
+use nti_bench::{eng, exit_on_record_error, header};
 use nti_module::{CpldConfig, Nti, IO_RX_HDR_BASE, UTCSU_BASE};
 use nti_netsim::{Comco, ComcoTiming};
 use nti_obs::MetricKey;
@@ -171,5 +171,5 @@ fn main() {
     println!("lost older stamp so software can simply wait for the next round); the");
     println!("sequential scheme silently pins ~80 us errors on the wrong packets —");
     println!("footnote 4's justification, quantified.");
-    opts.finish(&obs);
+    exit_on_record_error(opts.finish(&obs));
 }

@@ -18,7 +18,7 @@
 //! ensemble) and larger claimed α under faults.
 
 use nti_bench::obs_cli::ObsOpts;
-use nti_bench::{eng, header, record, secs, with_duration};
+use nti_bench::{eng, exit_on_record_error, header, record, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig};
 use nti_core::params::AlgoKind;
 use nti_obs::SimObserver;
@@ -88,5 +88,5 @@ fn main() {
     println!("bounds; pure intersection trades precision for tightness; FTM has no");
     println!("bounds at all (alpha saturated) — the design space the paper's OA");
     println!("choice sits in.");
-    opts.finish(&obs);
+    exit_on_record_error(opts.finish(&obs));
 }

@@ -14,7 +14,7 @@
 //! `scripts/check.sh`.
 
 use nti_bench::obs_cli::ObsOpts;
-use nti_bench::{eng, header, parallel_sweep, record, secs, with_duration};
+use nti_bench::{eng, exit_on_record_error, header, parallel_sweep, record, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig, Report};
 use nti_faults::{Direction, FaultEpisode, FaultKind, FaultPlan, FaultTarget};
 use nti_obs::Json;
@@ -285,9 +285,9 @@ fn main() {
     let obs = opts.observer();
     if std::env::args().any(|a| a == "--smoke") {
         let code = smoke(&obs);
-        opts.finish(&obs);
+        exit_on_record_error(opts.finish(&obs));
         std::process::exit(code);
     }
     full_matrix(&obs);
-    opts.finish(&obs);
+    exit_on_record_error(opts.finish(&obs));
 }

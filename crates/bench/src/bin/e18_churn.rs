@@ -307,9 +307,9 @@ fn main() {
     let obs = opts.observer();
     if std::env::args().any(|a| a == "--smoke") {
         let code = smoke(&obs);
-        opts.finish(&obs);
+        exit_on_record_error(opts.finish(&obs));
         std::process::exit(code);
     }
     full_matrix(&obs);
-    opts.finish(&obs);
+    exit_on_record_error(opts.finish(&obs));
 }

@@ -488,7 +488,7 @@ fn main() {
     let line = bench_json(&sh, &out);
     exit_on_record_error(append_bench("BENCH_serve.json", &line));
     record("e19_serve", if smoke { "smoke" } else { "full" }, &line);
-    opts.finish(&obs);
+    exit_on_record_error(opts.finish(&obs));
 
     if smoke {
         let expected = sh.workers as u64 * sh.queries_per_worker;

@@ -142,5 +142,5 @@ fn main() {
             "above 1 us (!)"
         }
     );
-    opts.finish(&obs);
+    exit_on_record_error(opts.finish(&obs));
 }

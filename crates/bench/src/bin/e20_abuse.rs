@@ -602,7 +602,7 @@ fn main() {
     );
     exit_on_record_error(append_bench("BENCH_serve.json", &line));
     record("e20_abuse", if smoke { "smoke" } else { "full" }, &line);
-    opts.finish(&obs);
+    exit_on_record_error(opts.finish(&obs));
 
     if smoke {
         let mut failures = Vec::new();

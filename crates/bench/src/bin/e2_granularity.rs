@@ -10,7 +10,7 @@
 //! constants differ from the adversarial worst case (we measure a finite
 //! run), but the *slope/shape* must track the formula.
 
-use nti_bench::{eng, header, secs, with_duration};
+use nti_bench::{eng, header, reject_args, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig};
 use nti_simcore::SimDuration;
 
@@ -26,6 +26,7 @@ fn run(granularity: SimDuration, fosc: u64, seed: u64) -> f64 {
 }
 
 fn main() {
+    reject_args();
     println!("E2: precision impairment by granularity G and rate uncertainty u");
     println!("paper: worst-case precision impaired by 4G + 10u\n");
 

@@ -9,11 +9,12 @@
 //! worst-case impairment 14·(1/f_osc) is tabulated beside the *measured*
 //! precision of a 4-node cluster with stamps quantized to G.
 
-use nti_bench::{eng, header, parallel_sweep, secs, with_duration};
+use nti_bench::{eng, header, parallel_sweep, reject_args, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig};
 use nti_simcore::SimDuration;
 
 fn main() {
+    reject_args();
     println!("E3: worst-case precision vs oscillator frequency (G = u = 1/f_osc)");
     println!("paper: sub-1 us worst case requires G = u < 70 ns, i.e. f_osc > 14 MHz\n");
     let h = format!(

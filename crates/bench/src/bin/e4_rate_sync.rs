@@ -8,7 +8,7 @@
 //! effective rate spread and the achieved precision with and without the
 //! rate algorithm trimming STEP each round.
 
-use nti_bench::{eng, header, record, secs, with_duration};
+use nti_bench::{eng, header, record, reject_args, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig, DriftSpec};
 use nti_simcore::SimDuration;
 
@@ -25,6 +25,7 @@ fn run(rho_ppm: f64, rate_sync: bool, seed: u64) -> nti_core::cluster::Report {
 }
 
 fn main() {
+    reject_args();
     println!("E4: rate synchronization vs oscillator quality (4 nodes)");
     println!("paper: rate sync reduces the max drift; cheap oscillators suffice\n");
     let h = format!(

@@ -9,7 +9,7 @@
 //! must keep containment and accuracy; blind trust must break on the
 //! value-corrupting faults.
 
-use nti_bench::{eng, header, secs, with_duration};
+use nti_bench::{eng, header, reject_args, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig, GpsNodeCfg};
 use nti_gps::{GpsConfig, GpsFault};
 use nti_simcore::SimDuration;
@@ -40,6 +40,7 @@ fn run(fault: Option<GpsFault>, blind: bool, seed: u64) -> nti_core::cluster::Re
 }
 
 fn main() {
+    reject_args();
     println!("E5: clock validation vs the HS97 GPS fault catalogue");
     println!("8 nodes, 3 receivers (2 healthy + 1 per-class faulty)\n");
     let h = format!(

@@ -12,7 +12,7 @@
 //! substrate and run under identical load; the achieved worst-case
 //! precision must land in the right decade and preserve the ordering.
 
-use nti_bench::{eng, header, record, secs, with_duration};
+use nti_bench::{eng, header, record, reject_args, secs, with_duration};
 use nti_core::cluster::{BgLoad, Cluster, ClusterConfig};
 use nti_core::params::{AlgoKind, TimestampMode};
 use nti_kernel::KernelConfig;
@@ -29,6 +29,7 @@ struct Class {
 }
 
 fn main() {
+    reject_args();
     println!("E6: synchronization tightness by approach class (4 nodes, moderate load)");
     println!("paper §1/§5 comparison; NTI claims ≥ 1 order of magnitude improvement\n");
     let classes = [

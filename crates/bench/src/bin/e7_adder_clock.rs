@@ -11,7 +11,7 @@
 //! * state-adjustment smoothness (largest instantaneous clock jump while
 //!   applying a +50 µs correction).
 
-use nti_bench::{eng, header};
+use nti_bench::{eng, header, reject_args};
 use nti_simcore::ntp::NtpTime;
 use nti_utcsu::ltu::Ltu;
 
@@ -72,6 +72,7 @@ impl CounterClock {
 }
 
 fn main() {
+    reject_args();
     let fosc = 10_000_000u64;
     println!("E7: adder-based clock (UTCSU) vs counter-based clock (CSU style)");
     println!("f_osc = 10 MHz\n");

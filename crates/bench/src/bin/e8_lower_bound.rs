@@ -8,12 +8,13 @@
 //! The measured worst case must stay above the bound (sanity of the
 //! simulation) and approach Θ(ε) as n grows.
 
-use nti_bench::{eng, header, secs, with_duration};
+use nti_bench::{eng, header, reject_args, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig, DriftSpec};
 use nti_netsim::{ComcoTiming, Jitter};
 use nti_simcore::SimDuration;
 
 fn main() {
+    reject_args();
     println!("E8: [LL84] lower bound ε(1 - 1/n) with n ideal clocks");
     // A COMCO whose only nondeterminism is a 2 us store-latency window:
     // the stamp-pair uncertainty ε is exactly that window.

@@ -74,5 +74,5 @@ fn main() {
     println!();
     println!("paper target: worst-case precision/accuracy in the 1 us range with the");
     println!("full recipe — the bottom rows must be sub-/low-microsecond.");
-    opts.finish(&obs);
+    exit_on_record_error(opts.finish(&obs));
 }

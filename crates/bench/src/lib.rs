@@ -106,11 +106,27 @@ fn append_line(dir: &Path, file: &str, value: &Json) -> io::Result<()> {
     writeln!(f, "{value}").map_err(named)
 }
 
-/// Exit with status 1 if a bench record could not be written: a run whose
-/// trajectory line was lost must not pass for a successful one.
+/// For the experiments that take no arguments: on any argument, print a
+/// one-line usage and exit with status 2 rather than run as if none was
+/// given.
+pub fn reject_args() {
+    let mut args = std::env::args();
+    let prog = args.next().unwrap_or_default();
+    if let Some(arg) = args.next() {
+        let name = Path::new(&prog)
+            .file_name()
+            .map_or(prog.clone(), |n| n.to_string_lossy().into_owned());
+        eprintln!("usage: {name} (takes no arguments; got {arg:?})");
+        std::process::exit(2);
+    }
+}
+
+/// Exit with status 1 if a run's evidence — a bench record or a trace
+/// export — could not be written: a run whose output was lost must not
+/// pass for a successful one.
 pub fn exit_on_record_error(result: io::Result<()>) {
     if let Err(e) = result {
-        eprintln!("error: bench record not written: {e}");
+        eprintln!("error: output not written: {e}");
         std::process::exit(1);
     }
 }

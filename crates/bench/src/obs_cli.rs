@@ -19,6 +19,7 @@
 //! status 2.
 
 use nti_obs::{SimObserver, Subsystem};
+use std::io;
 use std::path::PathBuf;
 
 /// The flags every experiment accepts.
@@ -104,22 +105,22 @@ impl ObsOpts {
     }
 
     /// Post-run reporting: print the summary table and/or write the trace
-    /// file, as requested.
-    pub fn finish(&self, obs: &SimObserver) {
+    /// file, as requested. A trace that cannot be written is an error
+    /// naming the file; callers exit 1 on it through
+    /// [`crate::exit_on_record_error`].
+    pub fn finish(&self, obs: &SimObserver) -> io::Result<()> {
         if self.summary {
             println!();
             println!("== observability summary ==");
             print!("{}", obs.summary_table());
         }
         if let Some(path) = &self.trace_out {
-            match obs.export_trace(path) {
-                Ok(()) => {
-                    let n = obs.events().len();
-                    println!("trace: wrote {n} events to {}", path.display());
-                }
-                Err(e) => eprintln!("trace: failed to write {}: {e}", path.display()),
-            }
+            obs.export_trace(path)
+                .map_err(|e| io::Error::new(e.kind(), format!("trace {}: {e}", path.display())))?;
+            let n = obs.events().len();
+            println!("trace: wrote {n} events to {}", path.display());
         }
+        Ok(())
     }
 }
 
@@ -163,5 +164,15 @@ mod tests {
         assert!(err.contains("netz"), "{err}");
         assert!(parse(&["--trace-out"]).is_err());
         assert!(parse(&["--metrics-addr"]).is_err());
+    }
+
+    #[test]
+    fn failed_trace_export_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("nti-obs-cli-{}", std::process::id()));
+        let path = dir.join("missing").join("t.jsonl");
+        let o = parse(&["--trace-out", path.to_str().expect("utf-8 path")]).expect("valid");
+        let err = o.finish(&o.observer()).unwrap_err();
+        assert!(err.to_string().contains("t.jsonl"), "{err}");
+        assert!(!dir.exists(), "nothing created on the way");
     }
 }

@@ -97,6 +97,9 @@ pub struct SyncCore {
     /// Current round number.
     pub round: u32,
     inbox: Vec<Preprocessed>,
+    /// Senders already in this round's inbox, one bit per node id (ids are
+    /// dense, `0..n`); grows on demand, cleared with the inbox.
+    heard: Vec<u64>,
     ext: Vec<Preprocessed>,
     /// Trust external intervals without validation (negative control for
     /// E5; Section 5 calls always-trusting a GPS receiver "questionable").
@@ -135,6 +138,7 @@ impl SyncCore {
             algo,
             round: 0,
             inbox: Vec::new(),
+            heard: Vec::new(),
             ext: Vec::new(),
             blind_external: false,
             reintegrating: false,
@@ -193,9 +197,14 @@ impl SyncCore {
     /// compensated stamp, the copy arrives late by a frame time. Returns
     /// whether the CSP entered the inbox.
     pub fn accept(&mut self, p: Preprocessed) -> bool {
-        if self.inbox.iter().any(|q| q.from == p.from) {
+        let (word, bit) = (p.from as usize / 64, 1u64 << (p.from % 64));
+        if word >= self.heard.len() {
+            self.heard.resize(word + 1, 0);
+        }
+        if self.heard[word] & bit != 0 {
             return false;
         }
+        self.heard[word] |= bit;
         self.inbox.push(p);
         self.csps_accepted += 1;
         true
@@ -283,6 +292,7 @@ impl SyncCore {
     pub fn skip_round(&mut self) {
         self.round += 1;
         self.inbox.clear();
+        self.heard.fill(0);
         self.ext.clear();
     }
 
@@ -300,6 +310,7 @@ impl SyncCore {
     ) -> Option<Enforcement> {
         self.round += 1;
         let inbox = std::mem::take(&mut self.inbox);
+        self.heard.fill(0);
         let ext = std::mem::take(&mut self.ext);
         // A reintegrating node below its quorum keeps free-running wide
         // (its deteriorating interval stays honest) and tries again next
@@ -635,6 +646,56 @@ mod tests {
         assert!(core.accept(p), "new incarnation, first stamp stands again");
         assert!(!core.accept(p), "but its duplicate still does not");
         assert_eq!(core.csps_accepted, 1);
+    }
+
+    #[test]
+    fn a_sender_is_heard_once_per_round() {
+        let mut core = SyncCore::new(params(), AlgoKind::IntervalOa);
+        let now = NtpTime::from_secs(100);
+        // Sender 70 sits in the heard table's second word.
+        let a = core.preprocess(&csp(1, 100, 0, now));
+        let b = core.preprocess(&csp(70, 100, 0, now));
+        assert!(core.accept(a));
+        assert!(core.accept(b));
+        assert!(!core.accept(a), "second CSP from 1 in the round");
+        assert!(!core.accept(b), "second CSP from 70 in the round");
+        assert_eq!(core.inbox_len(), 2);
+        assert!(core
+            .converge(now, (Accuracy(2000), Accuracy(2000)))
+            .is_some());
+        assert!(core.accept(a), "a new round hears sender 1 again");
+        assert!(!core.accept(a));
+        core.skip_round();
+        assert!(core.accept(b), "so does a skipped round's successor");
+        assert!(core.accept(a));
+        assert!(!core.accept(b));
+        assert_eq!(core.csps_accepted, 5);
+    }
+
+    #[test]
+    fn marked_duplicates_count_as_single_csps() {
+        let now = NtpTime::from_secs(100);
+        // Discount: both copies count as marked, only the first enters
+        // (widened).
+        let mut core = SyncCore::new(params(), AlgoKind::IntervalOa);
+        core.congestion = CongestionPolicy::Discount { widen_factor: 4 };
+        let p = core.preprocess(&csp(3, 100, 0, now));
+        assert!(core.accept_csp(p, true));
+        assert!(!core.accept_csp(p, true));
+        assert!(!core.accept_csp(p, false));
+        let counts = (core.csps_marked, core.csps_discounted, core.csps_accepted);
+        assert_eq!(counts, (2, 1, 1));
+        // Discard: a discarded copy leaves the sender unheard, so a later
+        // unmarked copy still enters, once.
+        let mut core = SyncCore::new(params(), AlgoKind::IntervalOa);
+        core.congestion = CongestionPolicy::Discard;
+        assert!(!core.accept_csp(p, true));
+        assert!(core.accept_csp(p, false));
+        assert!(!core.accept_csp(p, false));
+        assert!(!core.accept_csp(p, true));
+        let counts = (core.csps_marked, core.csps_discarded, core.csps_accepted);
+        assert_eq!(counts, (2, 2, 1));
+        assert_eq!(core.inbox_len(), 1);
     }
 
     #[test]

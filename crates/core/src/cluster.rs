@@ -47,6 +47,7 @@ use nti_simcore::{Accuracy, Engine, Oscillator, QueueKind, SimRng, Summary};
 use nti_utcsu::regs as uregs;
 use nti_utcsu::{IntSource, UtcsuConfig};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -548,6 +549,36 @@ enum DropCause {
     Injected,
 }
 
+/// Multiply-rotate hasher (FxHash's step) for the maps the receive path
+/// touches on every delivery, keyed by flight id and node index: a few
+/// instructions per key where `std`'s SipHash costs tens of nanoseconds.
+/// The keys are simulator-made integers, never outside input, and no
+/// result depends on these maps' iteration order.
+#[derive(Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 /// The simulated world (the engine's state type).
 pub struct World {
     /// All nodes.
@@ -557,12 +588,13 @@ pub struct World {
     /// Segment membership.
     pub topology: Topology,
     /// Frames in flight.
-    flights: HashMap<u64, Flight>,
+    flights: IdMap<u64, Flight>,
     /// Receive-trigger instants per (flight, receiver) for ε measurement.
-    rx_triggers: HashMap<(u64, usize), SimTime>,
+    /// A duplicated reception overwrites its original's entry.
+    rx_triggers: IdMap<(u64, usize), SimTime>,
     /// Receive-side span chain heads per (flight, receiver): the latch (or
     /// trigger) span and its real end instant, consumed by `rx_complete`.
-    rx_spans: HashMap<(u64, usize), (SpanId, SimTime)>,
+    rx_spans: IdMap<(u64, usize), (SpanId, SimTime)>,
     next_flight: u64,
     /// The fault-plan applicator (owns all fault RNG streams).
     injector: FaultInjector,
@@ -1033,9 +1065,9 @@ impl Cluster {
             nodes,
             mediums,
             topology: cfg.topology.clone(),
-            flights: HashMap::new(),
-            rx_triggers: HashMap::new(),
-            rx_spans: HashMap::new(),
+            flights: IdMap::default(),
+            rx_triggers: IdMap::default(),
+            rx_spans: IdMap::default(),
             next_flight: 0,
             injector,
             down: vec![false; n],
@@ -1842,10 +1874,13 @@ fn schedule_reception(
     });
 }
 
-/// Plain COMCO stores of one reception, in plan order: header `words` of
-/// receive slot `slot` (never the trigger word), and the frame data into
-/// the slot's data buffer right after word 0. Neither is time-observable:
-/// no trigger decodes there, and only `rx_complete` reads them back.
+/// Plain COMCO stores of one reception: the run of header `words` of
+/// receive slot `slot` (never the trigger word; the simulated COMCO stores
+/// zeros there) in one bulk store, and the frame data into the slot's data
+/// buffer when the run holds word 0 (the copy follows the first header
+/// write). Neither is time-observable: no trigger decodes there, and only
+/// `rx_complete` reads them back. The two regions are disjoint, so one bulk
+/// store each leaves the memory the word-wise plan order would.
 fn rx_stores(
     world: &mut World,
     q: usize,
@@ -1854,28 +1889,13 @@ fn rx_stores(
     words: Range<u32>,
     data: Option<&[u8]>,
 ) {
-    for w in words {
-        if a == 0 {
-            let nti = &mut world.nodes[q].nti;
-            let addr = nti.rx_header_addr(slot) + w * 4;
-            nti.write32(addr, 0);
-        }
-        if let (0, Some(bytes)) = (w, data) {
-            rx_data_copy(world, q, slot, bytes);
-        }
+    let nti = &mut world.nodes[q].nti;
+    if a == 0 && !words.is_empty() {
+        let run = nti.rx_header_addr(slot) + words.start * 4;
+        nti.comco_clear(run, words.len() as u32 * 4);
     }
-}
-
-/// The COMCO stores the frame data into the receiver's data buffer (a
-/// plain region: no triggers).
-fn rx_data_copy(world: &mut World, q: usize, slot: u32, bytes: &[u8]) {
-    let buf = rx_data_buf(slot);
-    for (i, chunk) in bytes.chunks(4).enumerate() {
-        let mut word = [0u8; 4];
-        word[..chunk.len()].copy_from_slice(chunk);
-        world.nodes[q]
-            .nti
-            .write32(buf + i as u32 * 4, u32::from_le_bytes(word));
+    if let (true, Some(bytes)) = (words.contains(&0), data) {
+        nti.comco_store(rx_data_buf(slot), bytes);
     }
 }
 
@@ -1900,7 +1920,7 @@ fn rx_trigger_event(
     rx_stores(world, q, a, slot, 0..k, Some(data));
     rx_trigger_write(world, eng, q, fid, a, slot, k * 4);
     if k == 0 {
-        rx_data_copy(world, q, slot, data);
+        world.nodes[q].nti.comco_store(rx_data_buf(slot), data);
     }
 }
 
@@ -2058,11 +2078,9 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
     // The protocol software reads the CSP payload out of the receiver's
     // own NTI memory (CPU view) — the bytes the COMCO deposited.
     let mut stored = [0u8; CSP_PAYLOAD_LEN];
-    let buf = nti_module::CPU_BASE + rx_data_buf(slot);
-    for (i, chunk) in stored.chunks_mut(4).enumerate() {
-        let word = world.nodes[q].nti.read32(buf + i as u32 * 4).to_le_bytes();
-        chunk.copy_from_slice(&word[..chunk.len()]);
-    }
+    world.nodes[q]
+        .nti
+        .cpu_load(nti_module::CPU_BASE + rx_data_buf(slot), &mut stored);
     // Pull the receive-trigger instant recorded at the trigger write, and let
     // the driver consume the CI queue entry (KI/NI traffic is untouched).
     let trigger_real = world.rx_triggers.remove(&(fid, q));

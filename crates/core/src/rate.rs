@@ -19,13 +19,13 @@
 //! improvement it buys.
 
 use nti_simcore::ntp::NtpTime;
-use std::collections::HashMap;
 
 /// Per-node rate synchronization state.
 #[derive(Clone, Debug, Default)]
 pub struct RateSync {
-    /// Last (peer stamp, local stamp) per peer.
-    history: HashMap<u32, (NtpTime, NtpTime)>,
+    /// Last (peer stamp, local stamp) per peer, indexed by the peer's
+    /// node id (ids are dense, `0..n`); grows on demand.
+    history: Vec<Option<(NtpTime, NtpTime)>>,
     /// Relative rate estimates collected this round: (peer − self)/self.
     estimates: Vec<f64>,
     /// Corrections applied so far.
@@ -44,7 +44,11 @@ impl RateSync {
     /// clock at the receive stamp. Consecutive observations from the same
     /// peer yield one rate estimate.
     pub fn observe(&mut self, from: u32, peer_stamp: NtpTime, local_stamp: NtpTime) {
-        if let Some((p0, l0)) = self.history.insert(from, (peer_stamp, local_stamp)) {
+        let i = from as usize;
+        if i >= self.history.len() {
+            self.history.resize(i + 1, None);
+        }
+        if let Some((p0, l0)) = self.history[i].replace((peer_stamp, local_stamp)) {
             let dp = peer_stamp.wrapping_diff_units(p0);
             let dl = local_stamp.wrapping_diff_units(l0);
             if dp > 0 && dl > 0 {

@@ -3,11 +3,42 @@
 
 use nti_core::convergence::{ftm, marzullo, oa};
 use nti_core::interval::{units_ceil, AccInterval};
+use nti_core::rate::RateSync;
 use nti_simcore::ntp::NtpTime;
 use nti_simcore::time::SimDuration;
 use proptest::prelude::*;
 
 const BASE_SECS: u32 = 1000;
+
+/// The map-backed per-peer rate history `RateSync` used before its dense
+/// table: the oracle for `rate_history_matches_a_map_oracle`.
+#[derive(Default)]
+struct RateOracle {
+    history: std::collections::HashMap<u32, (NtpTime, NtpTime)>,
+    estimates: Vec<f64>,
+}
+
+impl RateOracle {
+    fn observe(&mut self, from: u32, peer: NtpTime, local: NtpTime) {
+        if let Some((p0, l0)) = self.history.insert(from, (peer, local)) {
+            let dp = peer.wrapping_diff_units(p0);
+            let dl = local.wrapping_diff_units(l0);
+            if dp > 0 && dl > 0 {
+                self.estimates.push(dp as f64 / dl as f64 - 1.0);
+            }
+        }
+    }
+
+    fn round_correction(&mut self, f: usize) -> Option<f64> {
+        let mut est = std::mem::take(&mut self.estimates);
+        if est.len() < 2 * f + 1 {
+            return None;
+        }
+        est.sort_by(|a, b| a.partial_cmp(b).expect("rate estimate NaN"));
+        let trimmed = &est[f..est.len() - f];
+        Some(trimmed[trimmed.len() / 2] / 2.0)
+    }
+}
 
 /// An interval centred `off` units from the base with the given half
 /// widths (all in 2⁻⁵⁹ s units, bounded to keep arithmetic in range).
@@ -182,5 +213,35 @@ proptest! {
         let back = nti_core::interval::units_to_duration(u);
         prop_assert!(back >= d);
         prop_assert!(back.as_fs() - d.as_fs() <= 2);
+    }
+
+    /// The dense per-peer rate table gives the results the map it replaced
+    /// gave: every pending count and every round correction, over random
+    /// interleavings of observations (stamps moving either way, peers past
+    /// the table's current length) and round closes.
+    #[test]
+    fn rate_history_matches_a_map_oracle(
+        ops in proptest::collection::vec(
+            (0u32..80, 0u8..8, -(1i64 << 50)..(1i64 << 50), -(1i64 << 50)..(1i64 << 50)),
+            0..200,
+        ),
+        f in 0usize..3,
+    ) {
+        let base = NtpTime::from_secs(BASE_SECS);
+        let (mut dense, mut oracle) = (RateSync::new(), RateOracle::default());
+        for (from, op, peer, local) in ops {
+            if op == 0 {
+                prop_assert_eq!(dense.round_correction(f), oracle.round_correction(f));
+            } else {
+                let (peer, local) = (
+                    base.wrapping_add_units(peer as i128),
+                    base.wrapping_add_units(local as i128),
+                );
+                dense.observe(from, peer, local);
+                oracle.observe(from, peer, local);
+            }
+            prop_assert_eq!(dense.pending(), oracle.estimates.len());
+        }
+        prop_assert_eq!(dense.round_correction(f), oracle.round_correction(f));
     }
 }

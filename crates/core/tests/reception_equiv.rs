@@ -4,14 +4,15 @@
 //! two events that are time-observable: the CPLD trigger access and the
 //! reception interrupt (DESIGN.md §4). The folding must not change
 //! behaviour, so a fixed-seed `Report::to_json()` is pinned here by hash
-//! for three configurations that together reach every branch of the
-//! receive and transmit pipelines: a nominal single LAN, the E10 chain of
-//! LANs (gateway attachments, rate synchronization), and a chaos plan
-//! (missed and late triggers, duplicates, loss, CRC errors, a crash and a
-//! restart during traffic), the last also with tracing and monitors on.
+//! for configurations that together reach every branch of the receive and
+//! transmit pipelines: a nominal single LAN, the E10 chain of LANs
+//! (gateway attachments, rate synchronization), a chaos plan (missed and
+//! late triggers, duplicates, loss, CRC errors, a crash and a restart
+//! during traffic), the last also with tracing and monitors on, and a
+//! 48-node LAN with duplicated frames (wide fan-in through the duplicate
+//! check and the per-peer rate history).
 //!
-//! The hashes were recorded with one engine event per header word. A
-//! change that moves them changes simulated behaviour and must say so.
+//! A change that moves a hash changes simulated behaviour and must say so.
 
 use nti_core::cluster::{Cluster, ClusterConfig, Report};
 use nti_faults::{FaultEpisode, FaultKind, FaultPlan, FaultTarget};
@@ -90,24 +91,57 @@ fn chaos16_traced() -> ClusterConfig {
     cfg
 }
 
-/// A configuration's name, builder and pinned report hash.
-type Golden = (&'static str, fn() -> ClusterConfig, u64);
+/// 48 nodes on one LAN with rate synchronization and duplicated frames:
+/// every round, each receiver hears 47 senders, some of them twice, so the
+/// per-round duplicate-sender check and the per-peer rate history run at
+/// wide fan-in.
+///
+/// Known defect, pinned rather than hidden: the inbox keeps the copy the
+/// protocol task *processes* first, and ISR and dispatch latency can let
+/// the late copy (one frame time later, ~60 µs) overtake the original. At
+/// this fan-in enough late stamps enter the convergence function to break
+/// containment (ROADMAP, open items).
+fn lan48_dup() -> ClusterConfig {
+    let mut cfg = ClusterConfig::default_lan(48, 7);
+    cfg.duration = SimDuration::from_secs(10);
+    cfg.warmup = SimDuration::from_secs(4);
+    cfg.rate_sync = true;
+    cfg.fault_plan = FaultPlan::new().with(FaultEpisode {
+        from: SimTime::from_secs(3),
+        until: SimTime::from_secs(8),
+        target: FaultTarget::All,
+        kind: FaultKind::PacketDuplicate { rate: 0.2 },
+    });
+    cfg
+}
 
-/// Hashes recorded with one engine event per COMCO header word.
-const GOLDEN: [Golden; 4] = [
-    ("lan16", lan16, 0xb907c49456460a12),
-    ("wan_8x8", wan_8x8, 0x60321fe82ed5fa0a),
-    ("chaos16", chaos16, 0x9aab58ba86497da0),
-    ("chaos16_traced", chaos16_traced, 0xca0c4432802eb199),
+/// A configuration's name, builder, pinned report hash, and whether its
+/// report holds containment.
+type Golden = (&'static str, fn() -> ClusterConfig, u64, bool);
+
+/// The first four hashes were recorded with one engine event per COMCO
+/// header word; `lan48_dup` was recorded at commit 7656874, before the
+/// receive path traded its inbox scan and SipHash maps for dense tables.
+const GOLDEN: [Golden; 5] = [
+    ("lan16", lan16, 0xb907c49456460a12, true),
+    ("wan_8x8", wan_8x8, 0x60321fe82ed5fa0a, true),
+    ("chaos16", chaos16, 0x9aab58ba86497da0, true),
+    ("chaos16_traced", chaos16_traced, 0xca0c4432802eb199, true),
+    ("lan48_dup", lan48_dup, 0x8dee178dc3e280fb, false),
 ];
 
 #[test]
 fn same_seed_reports_match_the_per_word_pipeline() {
     let mut diverged = Vec::new();
-    for (name, cfg, want) in GOLDEN {
+    for (name, cfg, want, contained) in GOLDEN {
         let report = Cluster::new(cfg()).run();
         assert!(report.csps.1 > 0, "{name}: no CSP delivered");
-        assert_eq!(report.containment.0, 0, "{name}: containment violated");
+        assert_eq!(
+            report.containment.0 == 0,
+            contained,
+            "{name}: containment {:?}",
+            report.containment
+        );
         let got = report_hash(&report);
         if got != want {
             diverged.push(format!("{name}: {got:#018x} (pinned {want:#018x})"));

@@ -132,10 +132,10 @@ impl Default for CpldConfig {
 /// The NTI MA-Module: UTCSU + shared memory + CPLD + S-PROM.
 #[derive(Clone)]
 pub struct Nti {
-    /// The shared SRAM, allocated a page at a time on first write: a node
-    /// only touches its system structures, headers and data buffers (a few
-    /// pages), so the rest costs neither memory nor zeroing. A page never
-    /// written reads as zero.
+    /// The shared SRAM, allocated a page at a time on the first non-zero
+    /// store: a node only touches its system structures, headers and data
+    /// buffers (a few pages), so the rest costs neither memory nor zeroing.
+    /// A page never written reads as zero, so zeros stored to it need none.
     mem: Vec<Option<Box<[u8; PAGE]>>>,
     utcsu: Utcsu,
     cpld: CpldConfig,
@@ -230,6 +230,76 @@ impl Nti {
         (v >> (8 * (addr & 3))) as u8
     }
 
+    /// Bulk COMCO store of `bytes` at COMCO-region offset `off`: the same
+    /// memory as one [`Nti::write32`] per little-endian longword, in one
+    /// copy. Only for plain RAM: panics if the range holds a receive-header
+    /// word at the RECEIVE trigger offset (that store is time-observable
+    /// and must go through `write32`).
+    pub fn comco_store(&mut self, off: u32, bytes: &[u8]) {
+        self.assert_plain_comco(off, bytes.len());
+        self.ram_store(off, bytes);
+    }
+
+    /// Bulk COMCO store of `len` zero bytes at COMCO-region offset `off`,
+    /// under the same plain-RAM rule as [`Nti::comco_store`].
+    pub fn comco_clear(&mut self, off: u32, len: u32) {
+        self.assert_plain_comco(off, len as usize);
+        const ZEROS: [u8; PAGE] = [0; PAGE];
+        for at in (0..len).step_by(PAGE) {
+            self.ram_store(off + at, &ZEROS[..(len - at).min(PAGE as u32) as usize]);
+        }
+    }
+
+    /// Bulk CPU read of `out.len()` bytes at CPU-view address `addr`: the
+    /// same bytes as one [`Nti::read32`] per little-endian longword. The
+    /// CPU view has no decode side effects.
+    pub fn cpu_load(&self, addr: u32, out: &mut [u8]) {
+        assert!(
+            addr.is_multiple_of(4) && out.len().is_multiple_of(4),
+            "unaligned longword load at {addr:#x}"
+        );
+        assert!(
+            addr >= CPU_BASE && (addr - CPU_BASE) as usize + out.len() <= MEM_SIZE,
+            "CPU load outside the CPU view: {addr:#x}"
+        );
+        let mut off = (addr - CPU_BASE) as usize;
+        let mut out = out;
+        while !out.is_empty() {
+            let (page, i) = (off / PAGE, off % PAGE);
+            let (now, rest) = out.split_at_mut(out.len().min(PAGE - i));
+            match &self.mem[page] {
+                Some(p) => now.copy_from_slice(&p[i..i + now.len()]),
+                None => now.fill(0),
+            }
+            off += now.len();
+            out = rest;
+        }
+    }
+
+    /// A bulk COMCO store covers whole longwords of plain RAM: none of
+    /// them may be a receive header's trigger word.
+    fn assert_plain_comco(&self, off: u32, len: usize) {
+        assert!(
+            off.is_multiple_of(4) && len.is_multiple_of(4),
+            "unaligned longword store at {off:#x}"
+        );
+        let end = off as usize + len;
+        assert!(end <= CPU_BASE as usize, "bulk store past the COMCO view");
+        let (h, trig) = (
+            self.cpld.header_len as usize,
+            self.cpld.rcv_trigger_off as usize,
+        );
+        let lo = (off as usize).max(RX_HDR_BASE as usize);
+        let hi = end.min((RX_HDR_BASE + RX_HDR_SIZE) as usize);
+        // The first trigger word at or after `lo`.
+        let first_hdr = (lo - RX_HDR_BASE as usize).saturating_sub(trig).div_ceil(h);
+        let first = RX_HDR_BASE as usize + first_hdr * h + trig;
+        assert!(
+            lo >= hi || first >= hi,
+            "bulk COMCO store over the receive trigger at {first:#x}"
+        );
+    }
+
     // Accesses are longword-aligned, so none straddles a page.
     fn ram_read32(&self, off: u32) -> u32 {
         let (page, i) = (off as usize / PAGE, off as usize % PAGE);
@@ -240,8 +310,30 @@ impl Nti {
 
     fn ram_write32(&mut self, off: u32, v: u32) {
         let (page, i) = (off as usize / PAGE, off as usize % PAGE);
-        let p = self.mem[page].get_or_insert_with(|| Box::new([0; PAGE]));
+        let slot = &mut self.mem[page];
+        if slot.is_none() && v == 0 {
+            return; // the zero-store rule of `ram_store`
+        }
+        let p = slot.get_or_insert_with(|| Box::new([0; PAGE]));
         p[i..i + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Plain RAM store at offset `off`, page by page. Zeros stored to a
+    /// page never written allocate nothing: the page already reads as zero.
+    fn ram_store(&mut self, off: u32, bytes: &[u8]) {
+        let mut off = off as usize;
+        let mut bytes = bytes;
+        while !bytes.is_empty() {
+            let (page, i) = (off / PAGE, off % PAGE);
+            let (now, rest) = bytes.split_at(bytes.len().min(PAGE - i));
+            let slot = &mut self.mem[page];
+            if slot.is_some() || now.iter().any(|&b| b != 0) {
+                let p = slot.get_or_insert_with(|| Box::new([0; PAGE]));
+                p[i..i + now.len()].copy_from_slice(now);
+            }
+            off += now.len();
+            bytes = rest;
+        }
     }
 
     /// COMCO-region read: plain RAM plus TRANSMIT trigger / transparent
@@ -383,6 +475,7 @@ mod tests {
     use super::*;
     use nti_simcore::{Macrostamp, NtpTime, Timestamp};
     use nti_utcsu::regs::{CTRL_RUN, CTRL_SYNCRUN, R_CTRL, R_INT_MASK, R_TIMESTAMP};
+    use proptest::prelude::*;
 
     fn module() -> Nti {
         let mut n = Nti::default_module();
@@ -568,6 +661,132 @@ mod tests {
         assert_eq!(n.read8(CPU_BASE + 0x100), 0x01);
         assert_eq!(n.read8(CPU_BASE + 0x103), 0x04);
         assert_eq!(n.read16(CPU_BASE + 0x102), 0x0403);
+    }
+
+    fn pages_in_use(n: &Nti) -> usize {
+        n.mem.iter().filter(|p| p.is_some()).count()
+    }
+
+    #[test]
+    fn zero_stores_to_untouched_pages_allocate_nothing() {
+        let mut n = module();
+        let hdr = n.rx_header_addr(9);
+        n.comco_clear(hdr, 0x1C);
+        n.write32(hdr + 0x1C, 0); // the trigger store, still live
+        assert!(n.utcsu().ssu[0].receive.valid());
+        n.comco_clear(hdr + 0x20, 0x20);
+        n.comco_store(DATA_BUF_BASE, &[0; 48]);
+        n.write32(CPU_BASE + 0x3000, 0);
+        assert_eq!(pages_in_use(&n), 0, "zeros need no page");
+        // A non-zero store allocates its page; zeros then land in it.
+        n.comco_store(DATA_BUF_BASE, &[7; 8]);
+        assert_eq!(pages_in_use(&n), 1);
+        n.comco_clear(DATA_BUF_BASE, 4);
+        let mut back = [0xFF; 8];
+        n.cpu_load(CPU_BASE + DATA_BUF_BASE, &mut back);
+        assert_eq!(back, [0, 0, 0, 0, 7, 7, 7, 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "over the receive trigger")]
+    fn bulk_store_over_the_receive_trigger_panics() {
+        let mut n = module();
+        let hdr = n.rx_header_addr(3);
+        n.comco_clear(hdr + 0x18, 8);
+    }
+
+    /// One bulk operation at a COMCO offset: a store of `bytes`, or with
+    /// `clear` a clear of as many bytes (then all zero).
+    #[derive(Debug, Clone)]
+    struct BulkOp {
+        off: u32,
+        bytes: Vec<u8>,
+        clear: bool,
+    }
+
+    /// Bulk operations over plain RAM: anywhere in a receive header except
+    /// its trigger word, in the data buffers, and across the page
+    /// boundaries of the system structures; the bytes are often all zero.
+    fn arb_bulk_op() -> impl Strategy<Value = BulkOp> {
+        (0u8..3, 0u32..128, 0u32..16, 1u32..24, any::<u64>(), 0u8..3).prop_map(
+            |(region, at, word, words, seed, kind)| {
+                let (off, len) = match region {
+                    0 => {
+                        // A run on one side of the trigger word (word 7).
+                        let (lo, hi) = if word < 7 {
+                            (word, 7)
+                        } else {
+                            (word.max(8), 16)
+                        };
+                        let hdr = RX_HDR_BASE + at * 64;
+                        (hdr + lo * 4, (hi - lo).min(words) * 4)
+                    }
+                    1 => (DATA_BUF_BASE + at * 256 + word * 4, words * 4),
+                    _ => ((at % 40 + 1) * PAGE as u32 - word * 4, words * 4),
+                };
+                let mut x = seed | 1;
+                let bytes = (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        if kind == 0 {
+                            x as u8
+                        } else {
+                            0
+                        }
+                    })
+                    .collect();
+                BulkOp {
+                    off,
+                    bytes,
+                    clear: kind == 2,
+                }
+            },
+        )
+    }
+
+    proptest::proptest! {
+        /// Bulk stores, clears and loads leave and read the same bytes as
+        /// one longword access per word, and as a flat array of memory,
+        /// however they fall on pages and whichever pages zeros skipped.
+        #[test]
+        fn bulk_access_matches_wordwise_access(
+            ops in proptest::collection::vec(arb_bulk_op(), 1..40),
+        ) {
+            let (mut bulk, mut words) = (module(), module());
+            let mut flat = vec![0u8; MEM_SIZE];
+            for op in &ops {
+                let len = op.bytes.len();
+                if op.clear {
+                    bulk.comco_clear(op.off, len as u32);
+                } else {
+                    bulk.comco_store(op.off, &op.bytes);
+                }
+                let stored = &op.bytes;
+                for (i, w) in stored.chunks(4).enumerate() {
+                    let v = u32::from_le_bytes(w.try_into().expect("longword"));
+                    words.write32(op.off + 4 * i as u32, v);
+                }
+                flat[op.off as usize..op.off as usize + len].copy_from_slice(stored);
+                // Read back a window around the store both ways.
+                let lo = (op.off as usize).saturating_sub(64) & !3;
+                let hi = (op.off as usize + len + 64).min(CPU_BASE as usize);
+                let mut got = vec![0u8; hi - lo];
+                bulk.cpu_load(CPU_BASE + lo as u32, &mut got);
+                let wordwise: Vec<u8> = (lo..hi)
+                    .step_by(4)
+                    .flat_map(|a| words.read32(CPU_BASE + a as u32).to_le_bytes())
+                    .collect();
+                proptest::prop_assert_eq!(&got, &wordwise);
+                proptest::prop_assert_eq!(&got[..], &flat[lo..hi]);
+            }
+            proptest::prop_assert_eq!(pages_in_use(&bulk), pages_in_use(&words));
+            for (p, page) in bulk.mem.iter().enumerate() {
+                let nonzero = flat[p * PAGE..(p + 1) * PAGE].iter().any(|&b| b != 0);
+                proptest::prop_assert!(page.is_some() || !nonzero, "page {p} lost data");
+            }
+        }
     }
 
     #[test]
