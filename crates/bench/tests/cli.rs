@@ -25,6 +25,16 @@ fn failed_trace_export_exits_one() {
     assert!(!dir.exists());
 }
 
+/// A run that exits 2 with a one-line usage on stderr and prints nothing.
+fn assert_usage_exit(bin: &str, args: &[&str]) {
+    let out = run(bin, args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {err}");
+    assert!(err.starts_with("usage: e"), "{bin}: {err}");
+    assert_eq!(err.lines().count(), 1, "{bin}: one-line usage");
+    assert!(out.stdout.is_empty(), "{bin} ran anyway");
+}
+
 #[test]
 fn argument_free_experiments_reject_arguments() {
     for bin in [
@@ -36,11 +46,14 @@ fn argument_free_experiments_reject_arguments() {
         env!("CARGO_BIN_EXE_e7_adder_clock"),
         env!("CARGO_BIN_EXE_e8_lower_bound"),
     ] {
-        let out = run(bin, &["--obs-summary"]);
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{bin}: {err}");
-        assert!(err.starts_with("usage: e"), "{bin}: {err}");
-        assert_eq!(err.lines().count(), 1, "{bin}: one-line usage");
-        assert!(out.stdout.is_empty(), "{bin} ran anyway");
+        assert_usage_exit(bin, &["--obs-summary"]);
+    }
+}
+
+#[test]
+fn engine_perf_rejects_anything_but_smoke() {
+    let bin = env!("CARGO_BIN_EXE_e17_engine_perf");
+    for args in [&["--smokee"][..], &["--obs-summary"], &["--smoke", "x"]] {
+        assert_usage_exit(bin, args);
     }
 }

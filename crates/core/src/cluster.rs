@@ -43,7 +43,7 @@ use nti_obs::{
 };
 use nti_simcore::ntp::{NtpTime, FRAC_BITS, NTP_FRAC_BITS};
 use nti_simcore::time::{SimDuration, SimTime};
-use nti_simcore::{Accuracy, Engine, Oscillator, QueueKind, SimRng, Summary};
+use nti_simcore::{Accuracy, Engine, Oscillator, SimRng, Summary};
 use nti_utcsu::regs as uregs;
 use nti_utcsu::{IntSource, UtcsuConfig};
 use std::collections::HashMap;
@@ -217,18 +217,6 @@ pub struct ClusterConfig {
     /// accepted as-is, accepted with a widened (down-weighted) interval,
     /// or discarded.
     pub congestion: CongestionPolicy,
-    /// Byzantine nodes: broadcast wildly wrong intervals every round (the
-    /// convergence function must mask up to `f` of them).
-    ///
-    /// Deprecated shim: folded into the fault plan at build time — prefer
-    /// `FaultPlan::byzantine`.
-    pub byzantine: Vec<usize>,
-    /// Probability that a CSP frame is corrupted on the wire (CRC dropped
-    /// at the receiver *after* the RECEIVE trigger fired — footnote 4).
-    ///
-    /// Deprecated shim: folded into the fault plan at build time — prefer
-    /// `FaultPlan::crc_errors`.
-    pub crc_error_rate: f64,
     /// Disable clock validation and trust every GPS interval blindly — the
     /// "questionable undertaking" of Section 5, as a negative control.
     pub gps_blind_trust: bool,
@@ -270,13 +258,6 @@ pub struct ClusterConfig {
     /// (the publish is wait-free). `None` leaves runs bit-identical to
     /// pre-status builds.
     pub status_cell: Option<Arc<StatusCell>>,
-    /// Event-queue backend for the simulation engine. `Adaptive` is the
-    /// production default — it runs the heap strategy while the queue is
-    /// sparse (the shape of a cluster replay) and migrates onto the timer
-    /// wheel when density warrants; `TimerWheel` and `BinaryHeap` pin a
-    /// fixed strategy for equivalence/regression runs (same seed ⇒
-    /// bit-identical report on every backend).
-    pub engine_queue: QueueKind,
 }
 
 impl ClusterConfig {
@@ -308,8 +289,6 @@ impl ClusterConfig {
             fault_plan: FaultPlan::new(),
             churn_plan: ChurnPlan::new(),
             congestion: CongestionPolicy::Ignore,
-            byzantine: Vec::new(),
-            crc_error_rate: 0.0,
             gps_blind_trust: false,
             app_event_period: None,
             actuation_start_sec: None,
@@ -320,7 +299,6 @@ impl ClusterConfig {
             precision_budget: None,
             obs: SimObserver::disabled(),
             status_cell: None,
-            engine_queue: QueueKind::Adaptive,
         }
     }
 }
@@ -928,16 +906,7 @@ impl Cluster {
         let params = derive_params(&cfg);
         let root = SimRng::new(cfg.seed);
         let n = cfg.topology.node_count();
-        // Effective fault plan: the explicit plan plus the legacy knobs
-        // (byzantine / crc_error_rate) folded in as episodes.
-        let mut plan = cfg.fault_plan.clone();
-        if !cfg.byzantine.is_empty() {
-            plan.merge(&FaultPlan::byzantine(&cfg.byzantine));
-        }
-        if cfg.crc_error_rate > 0.0 {
-            plan.merge(&FaultPlan::crc_errors(cfg.crc_error_rate));
-        }
-        let mut injector = FaultInjector::new(&plan, &root);
+        let mut injector = FaultInjector::new(&cfg.fault_plan, &root);
         injector.attach_observer(&cfg.obs);
         for (node, at, _) in injector.crash_windows() {
             assert!(node < n, "crash episode targets node {node} of {n}");
@@ -1142,7 +1111,7 @@ impl Cluster {
                 },
             );
         }
-        let mut eng = Eng::with_queue(world.cfg.engine_queue);
+        let mut eng = Eng::new();
         eng.attach_observer(&obs);
         // Dark-start churn nodes: a node whose *first* churn event is a
         // join spends the run's opening `Down` — no clock, no timers, no

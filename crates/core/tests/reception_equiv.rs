@@ -10,14 +10,14 @@
 //! late triggers, duplicates, loss, CRC errors, a crash and a restart
 //! during traffic), the last also with tracing and monitors on, and a
 //! 48-node LAN with duplicated frames (wide fan-in through the duplicate
-//! check and the per-peer rate history).
+//! check and the per-peer rate history), and a small traced 4-node LAN.
 //!
 //! A change that moves a hash changes simulated behaviour and must say so.
 
 use nti_core::cluster::{Cluster, ClusterConfig, Report};
 use nti_faults::{FaultEpisode, FaultKind, FaultPlan, FaultTarget};
 use nti_netsim::Topology;
-use nti_obs::{keys, SimObserver};
+use nti_obs::{keys, SimObserver, Subsystem};
 use nti_simcore::{SimDuration, SimTime};
 
 /// FNV-1a over the report's JSON text: stable across platforms and
@@ -115,19 +115,32 @@ fn lan48_dup() -> ClusterConfig {
     cfg
 }
 
+/// A small traced LAN: 4 nodes with the cluster subsystem's trace ring on,
+/// so the trace hooks run beside every cluster event handler.
+fn lan4_traced() -> ClusterConfig {
+    let mut cfg = ClusterConfig::default_lan(4, 20260806);
+    cfg.duration = SimDuration::from_secs(10);
+    cfg.warmup = SimDuration::from_secs(3);
+    cfg.obs = SimObserver::with_trace(1 << 16, Subsystem::Cluster.bit());
+    cfg
+}
+
 /// A configuration's name, builder, pinned report hash, and whether its
 /// report holds containment.
 type Golden = (&'static str, fn() -> ClusterConfig, u64, bool);
 
 /// The first four hashes were recorded with one engine event per COMCO
 /// header word; `lan48_dup` was recorded at commit 7656874, before the
-/// receive path traded its inbox scan and SipHash maps for dense tables.
-const GOLDEN: [Golden; 5] = [
+/// receive path traded its inbox scan and SipHash maps for dense tables;
+/// `lan4_traced` was recorded at commit 1e968f6, on the adaptive
+/// heap/timer-wheel event queue that the single binary heap replaced.
+const GOLDEN: [Golden; 6] = [
     ("lan16", lan16, 0xb907c49456460a12, true),
     ("wan_8x8", wan_8x8, 0x60321fe82ed5fa0a, true),
     ("chaos16", chaos16, 0x9aab58ba86497da0, true),
     ("chaos16_traced", chaos16_traced, 0xca0c4432802eb199, true),
     ("lan48_dup", lan48_dup, 0x8dee178dc3e280fb, false),
+    ("lan4_traced", lan4_traced, 0x4a39768a547074ec, true),
 ];
 
 #[test]

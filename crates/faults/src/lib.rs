@@ -218,8 +218,9 @@ impl FaultPlan {
         self.episodes.extend_from_slice(&other.episodes);
     }
 
-    /// Legacy shim: the given nodes behave Byzantine for the whole run
-    /// (equivalent of the old `ClusterConfig.byzantine` knob).
+    /// The given nodes behave Byzantine for the whole run: they broadcast
+    /// wildly wrong intervals every round (the convergence function must
+    /// mask up to `f` of them).
     pub fn byzantine(nodes: &[usize]) -> Self {
         let mut plan = FaultPlan::new();
         for &n in nodes {
@@ -233,8 +234,9 @@ impl FaultPlan {
         plan
     }
 
-    /// Legacy shim: every node corrupts each transmitted CSP with `rate`
-    /// (equivalent of the old `ClusterConfig.crc_error_rate` knob).
+    /// Every node corrupts each transmitted CSP with probability `rate`
+    /// (CRC-dropped at the receiver *after* the RECEIVE trigger fired —
+    /// footnote 4).
     pub fn crc_errors(rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "rate must be in [0,1]");
         FaultPlan::new().with(FaultEpisode {

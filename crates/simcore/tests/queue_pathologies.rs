@@ -1,193 +1,90 @@
-//! Regression tests for queue shapes that once cost (or could cost) the
-//! engine its asymptotics: long idle gaps over a near-empty wheel,
-//! burst-schedule → mass-cancel → sparse trickle, and the adaptive
-//! backend's strategy migrations. The equivalence proptests prove the
-//! backends identical on random programs; these tests pin the specific
-//! pathological shapes named in ROADMAP item 2 with deterministic
-//! programs, so a future change that re-introduces per-granule work or
-//! stale-entry accumulation fails loudly by name.
+//! Regression tests for queue shapes that could cost the engine its
+//! asymptotics: long idle gaps with one far-future event pending, and
+//! burst-schedule → mass-cancel → sparse trickle. The reference-model
+//! proptests prove the fire order on random programs; these pin the
+//! specific pathological shapes with deterministic programs, so a future
+//! change that re-introduces per-step work over idle time or stale-entry
+//! accumulation fails loudly by name.
 
-use nti_simcore::{Engine, QueueKind, SimDuration, SimTime};
-
-const ALL_KINDS: [QueueKind; 3] = [
-    QueueKind::Adaptive,
-    QueueKind::TimerWheel,
-    QueueKind::BinaryHeap,
-];
+use nti_simcore::{Engine, SimDuration, SimTime};
 
 /// Advancing an idle engine must be O(1) per `run_until` call, not
-/// O(granules) or O(slots) across the gap: days of simulated time with one
-/// far-future event pending are crossed in 100k small steps. If any
-/// backend did per-granule work the gap spans ~2.4 × 10¹¹ granules and
-/// this test would never finish; the step count alone pins the bound.
+/// proportional to the simulated time crossed: days of simulated time with
+/// one far-future event pending are crossed in 100k small steps.
 #[test]
 fn idle_advance_across_days_is_constant_time() {
-    for kind in ALL_KINDS {
-        let mut eng: Engine<Vec<u32>> = Engine::with_queue(kind);
-        let mut log = Vec::new();
-        // One event three days out — far beyond the ~20 h wheel range, so
-        // it sits in the overflow heap the whole time.
-        let at = SimTime::from_secs(3 * 86_400);
-        eng.schedule_at(at, |s: &mut Vec<u32>, _| s.push(1));
-        // 100k idle advances of ~2.6 s each cross the three days.
-        let step = SimDuration::from_fs(3 * 86_400 * 1_000_000_000_000_000 / 100_000 + 1);
-        for _ in 0..100_000 {
-            eng.run_until(&mut log, eng.now() + step);
-        }
-        assert_eq!(log, vec![1], "{kind:?}");
-        assert_eq!(eng.pending(), 0, "{kind:?}");
-
-        // After the long idle gap, near-future scheduling still works and
-        // still fires in order (the wheel rebases instead of forcing every
-        // post-gap event through the overflow heap).
-        for i in 0..10u32 {
-            eng.schedule_after(
-                SimDuration::from_micros(i as u64 + 1),
-                move |s: &mut Vec<u32>, _| s.push(10 + i),
-            );
-        }
-        eng.run_until(&mut log, eng.now() + SimDuration::from_millis(1));
-        assert_eq!(log[1..], (10..20).collect::<Vec<_>>()[..], "{kind:?}");
+    let mut eng: Engine<Vec<u32>> = Engine::new();
+    let mut log = Vec::new();
+    let at = SimTime::from_secs(3 * 86_400);
+    eng.schedule_at(at, |s: &mut Vec<u32>, _| s.push(1));
+    // 100k idle advances of ~2.6 s each cross the three days.
+    let step = SimDuration::from_fs(3 * 86_400 * 1_000_000_000_000_000 / 100_000 + 1);
+    for _ in 0..100_000 {
+        eng.run_until(&mut log, eng.now() + step);
     }
+    assert_eq!(log, vec![1]);
+    assert_eq!(eng.pending(), 0);
+
+    // After the long idle gap, near-future scheduling still fires in order.
+    for i in 0..10u32 {
+        eng.schedule_after(
+            SimDuration::from_micros(i as u64 + 1),
+            move |s: &mut Vec<u32>, _| s.push(10 + i),
+        );
+    }
+    eng.run_until(&mut log, eng.now() + SimDuration::from_millis(1));
+    assert_eq!(log[1..], (10..20).collect::<Vec<_>>()[..]);
 }
 
 /// Burst-schedule → cancel-all → long quiet → sparse trickle: the
-/// cancelled burst must neither fire nor wedge the queue's notion of where
-/// it is (`due_granule`/`base` vs `next_slot()`), and the trickle must
-/// fire in exact order afterwards. Run on every backend and compared
-/// against the heap oracle's log.
+/// cancelled burst must neither fire nor hold up the queue, and the
+/// trickle must fire exactly on schedule afterwards.
 #[test]
 fn burst_cancel_all_then_trickle_stays_consistent() {
-    fn run(kind: QueueKind) -> Vec<(u32, u128)> {
-        let mut eng: Engine<Vec<(u32, u128)>> = Engine::with_queue(kind);
-        let mut log = Vec::new();
-        // Burst: 10k events across several granules and levels, plus a
-        // same-granule clump (the batched-cascade shape).
-        let mut ids = Vec::new();
-        for i in 0..10_000u64 {
-            let at = eng.now() + SimDuration::from_fs((i as u128 + 1) * 7_777_777);
-            ids.push(eng.schedule_at(at, move |s: &mut Vec<(u32, u128)>, e| {
-                s.push((i as u32, e.now().as_fs()));
-            }));
-        }
-        let clump = eng.now() + SimDuration::from_millis(40);
-        for _ in 0..64 {
-            ids.push(eng.schedule_at(clump, |s: &mut Vec<(u32, u128)>, e| {
-                s.push((u32::MAX, e.now().as_fs()));
-            }));
-        }
-        // Cancel every single one while queued.
-        for id in ids {
-            eng.cancel(id);
-        }
-        assert_eq!(eng.pending(), 0, "{kind:?}: cancel-all left live events");
-        // Long quiet period crossed in a few steps (stale entries must not
-        // fire, and must not leave the wheel pointing at a consumed
-        // granule).
-        for _ in 0..8 {
-            eng.run_until(&mut log, eng.now() + SimDuration::from_secs(30));
-        }
-        assert!(log.is_empty(), "{kind:?}: cancelled event fired");
-        // Sparse trickle, one event at a time with real gaps.
-        for i in 0..200u32 {
-            eng.schedule_after(SimDuration::from_millis(3), move |s: &mut Vec<_>, e| {
-                s.push((1_000_000 + i, e.now().as_fs()));
-            });
-            eng.run_until(&mut log, eng.now() + SimDuration::from_millis(10));
-        }
-        assert_eq!(log.len(), 200, "{kind:?}: trickle lost events");
-        log
+    let mut eng: Engine<Vec<(u32, u128)>> = Engine::new();
+    let mut log = Vec::new();
+    // Burst: 10k events at distinct instants plus a same-instant clump.
+    let mut ids = Vec::new();
+    for i in 0..10_000u64 {
+        let at = eng.now() + SimDuration::from_fs((i as u128 + 1) * 7_777_777);
+        ids.push(eng.schedule_at(at, move |s: &mut Vec<(u32, u128)>, e| {
+            s.push((i as u32, e.now().as_fs()));
+        }));
     }
-
-    let oracle = run(QueueKind::BinaryHeap);
-    for kind in [QueueKind::Adaptive, QueueKind::TimerWheel] {
-        assert_eq!(run(kind), oracle, "{kind:?} diverges from heap oracle");
-    }
-}
-
-/// The adaptive backend must actually migrate: heap strategy while sparse,
-/// wheel strategy after a dense burst, and back to the heap once the queue
-/// drains and stays sparse. (Correctness under migration is proven by the
-/// equivalence suites; this pins that the policy engages at all, so a
-/// regression can't quietly leave it stuck on one strategy.)
-#[test]
-fn adaptive_migrates_up_under_load_and_back_down_when_sparse() {
-    let mut eng: Engine<u64> = Engine::with_queue(QueueKind::Adaptive);
-    let mut fired = 0u64;
-    assert_eq!(eng.queue_kind(), QueueKind::Adaptive);
-    assert_eq!(
-        eng.active_strategy(),
-        QueueKind::BinaryHeap,
-        "an empty adaptive queue starts on the heap strategy"
-    );
-
-    // Dense burst: 50k events over ~50 ms. The up-switch triggers on
-    // insert, long before the burst ends.
-    for i in 0..50_000u64 {
-        eng.schedule_at(
-            SimTime::from_fs((i as u128 + 1) * 1_000_000_000),
-            |s: &mut u64, _| *s += 1,
-        );
-    }
-    assert_eq!(
-        eng.active_strategy(),
-        QueueKind::TimerWheel,
-        "a dense schedule burst must migrate onto the wheel"
-    );
-
-    // Drain completely, then trickle: sustained sparseness must bring the
-    // heap strategy back (the EWMA needs a few chunks to decay).
-    eng.run_until(&mut fired, SimTime::from_secs(1));
-    assert_eq!(fired, 50_000);
+    let clump = eng.now() + SimDuration::from_millis(40);
     for _ in 0..64 {
-        eng.schedule_after(SimDuration::from_millis(1), |s: &mut u64, _| *s += 1);
-        eng.run_until(&mut fired, eng.now() + SimDuration::from_millis(2));
+        ids.push(eng.schedule_at(clump, |s: &mut Vec<(u32, u128)>, e| {
+            s.push((u32::MAX, e.now().as_fs()));
+        }));
     }
-    assert_eq!(
-        eng.active_strategy(),
-        QueueKind::BinaryHeap,
-        "a drained, sparse queue must migrate back to the heap"
-    );
-    assert_eq!(fired, 50_064);
-
-    // The fixed backends never migrate, whatever the load.
-    let mut wheel: Engine<u64> = Engine::with_queue(QueueKind::TimerWheel);
-    let mut heap: Engine<u64> = Engine::with_queue(QueueKind::BinaryHeap);
-    for i in 0..5_000u64 {
-        let at = SimTime::from_fs((i as u128 + 1) * 1_000_000);
-        wheel.schedule_at(at, |s: &mut u64, _| *s += 1);
-        heap.schedule_at(at, |s: &mut u64, _| *s += 1);
-    }
-    assert_eq!(wheel.active_strategy(), QueueKind::TimerWheel);
-    assert_eq!(heap.active_strategy(), QueueKind::BinaryHeap);
-}
-
-/// A mass-cancel's stale entries are purged wholesale when the adaptive
-/// backend migrates down (migration filters dead entries), so the heap it
-/// lands on is genuinely empty rather than full of tombstones.
-#[test]
-fn adaptive_down_migration_purges_cancelled_entries() {
-    let mut eng: Engine<u64> = Engine::with_queue(QueueKind::Adaptive);
-    let mut fired = 0u64;
-    let ids: Vec<_> = (0..20_000u64)
-        .map(|i| {
-            eng.schedule_at(SimTime::from_fs((i as u128 + 1) << 24), |s: &mut u64, _| {
-                *s += 1
-            })
-        })
-        .collect();
-    assert_eq!(eng.active_strategy(), QueueKind::TimerWheel);
+    // Cancel every single one while queued.
     for id in ids {
         eng.cancel(id);
     }
-    assert_eq!(eng.pending(), 0);
-    // Sustained sparse dispatch decays the EWMA; the down-migration dumps
-    // the 20k stale wheel entries instead of dragging them into the heap.
-    for _ in 0..64 {
-        eng.schedule_after(SimDuration::from_millis(1), |s: &mut u64, _| *s += 1);
-        eng.run_until(&mut fired, eng.now() + SimDuration::from_millis(2));
+    assert_eq!(eng.pending(), 0, "cancel-all left live events");
+    // Long quiet period crossed in a few steps: stale entries must not
+    // fire.
+    for _ in 0..8 {
+        eng.run_until(&mut log, eng.now() + SimDuration::from_secs(30));
     }
-    assert_eq!(eng.active_strategy(), QueueKind::BinaryHeap);
-    assert_eq!(fired, 64);
-    assert_eq!(eng.pending(), 0);
+    assert!(log.is_empty(), "cancelled event fired");
+    assert_eq!(eng.next_event_time(), None);
+    // Sparse trickle, one event at a time with real gaps.
+    for i in 0..200u32 {
+        eng.schedule_after(SimDuration::from_millis(3), move |s: &mut Vec<_>, e| {
+            s.push((1_000_000 + i, e.now().as_fs()));
+        });
+        eng.run_until(&mut log, eng.now() + SimDuration::from_millis(10));
+    }
+    // Event i is scheduled at 240 s + i·10 ms and fires 3 ms later.
+    let want: Vec<(u32, u128)> = (0..200u32)
+        .map(|i| {
+            let at = SimTime::from_secs(240)
+                + SimDuration::from_millis(10 * i as u64)
+                + SimDuration::from_millis(3);
+            (1_000_000 + i, at.as_fs())
+        })
+        .collect();
+    assert_eq!(log, want);
+    assert_eq!(eng.events_fired(), 200);
 }

@@ -31,7 +31,7 @@ NTI_EXP_FAST=1 cargo run --release -q -p nti-bench --bin e18_churn -- --smoke \
 
 echo "== engine scheduler smoke run (e17_engine_perf --smoke) =="
 NTI_EXP_FAST=1 cargo run --release -q -p nti-bench --bin e17_engine_perf -- --smoke \
-  || { echo "check.sh: engine smoke failed (backend divergence, cancel-heavy regression, or default backend below 0.95x heap on cluster replay)" >&2; exit 1; }
+  || { echo "check.sh: engine smoke failed (repetitions of the 16-node replay differ in Report or events fired)" >&2; exit 1; }
 
 echo "== serving-layer smoke run (e19_serve --smoke) =="
 NTI_EXP_FAST=1 cargo run --release -q -p nti-bench --bin e19_serve -- --smoke \

@@ -19,7 +19,7 @@ fn base(n: usize, seed: u64) -> ClusterConfig {
 fn byzantine_node_is_masked_with_f1() {
     let mut cfg = base(5, 13);
     cfg.f = 1;
-    cfg.byzantine = vec![4];
+    cfg.fault_plan = FaultPlan::byzantine(&[4]);
     let rep = Cluster::new(cfg).run();
     // The four honest nodes keep tight precision: the Byzantine stamps
     // (off by 0.1..0.9 s!) must not drag the ensemble.
@@ -34,14 +34,14 @@ fn byzantine_node_is_masked_with_f1() {
 #[test]
 fn byzantine_beyond_f_breaks_precision() {
     // Negative control: two Byzantine nodes with f = 1 must visibly hurt.
-    let run = |byz: Vec<usize>| {
+    let run = |byz: &[usize]| {
         let mut cfg = base(5, 14);
         cfg.f = 1;
-        cfg.byzantine = byz;
+        cfg.fault_plan = FaultPlan::byzantine(byz);
         Cluster::new(cfg).run().worst_precision_s
     };
-    let ok = run(vec![4]);
-    let broken = run(vec![3, 4]);
+    let ok = run(&[4]);
+    let broken = run(&[3, 4]);
     assert!(
         broken > ok * 10.0,
         "2 liars with f=1 should break things: {ok} vs {broken}"
@@ -51,7 +51,7 @@ fn byzantine_beyond_f_breaks_precision() {
 #[test]
 fn crc_corrupted_csps_are_dropped_without_misattribution() {
     let mut cfg = base(4, 15);
-    cfg.crc_error_rate = 0.2;
+    cfg.fault_plan = FaultPlan::crc_errors(0.2);
     let rep = Cluster::new(cfg).run();
     assert!(
         rep.csps.2 > 5,
